@@ -24,8 +24,9 @@ FAILURE_KINDS = ["Host", "ToR Switch", "Core Link", "Core Switch"]
 CRASH_AT = 150_000
 
 
-def measure_stall(n_procs: int, kind: str) -> float:
-    """Commit-barrier stall time (us) averaged over correct hosts."""
+def catch_up_instants(n_procs: int, kind: str) -> dict:
+    """Per correct host: the simulated instant its commit barrier first
+    passes the crash instant after a ``kind`` failure at CRASH_AT."""
     sim = Simulator(seed=500 + n_procs)
     cluster = OnePipeCluster(sim, n_processes=n_procs)
     injector = FailureInjector(cluster.topology)
@@ -58,31 +59,35 @@ def measure_stall(n_procs: int, kind: str) -> float:
     # Precise stall measurement: for each correct host, the time until
     # its received commit barrier *value* passes the crash instant —
     # i.e. until ordering information from after the failure flows again
-    # (the "barrier timestamp stall" of Fig. 10).
+    # (the "barrier timestamp stall" of Fig. 10).  Observed at the
+    # agent's flush, which every barrier change schedules for the same
+    # simulated instant whether the beacon that carried it travelled as
+    # a packet or on the virtual fabric.
     epoch = cluster.topology.clock_sync.epoch_ns
     crash_wall = epoch + CRASH_AT
     caught_up = {}
     for host_id, agent in cluster.agents.items():
         if host_id in failed_hosts:
             continue
-        original = agent._update_barriers
 
-        def hooked(be, commit, host_id=host_id, original=original):
-            original(be, commit)
+        def hooked(host_id=host_id, agent=agent, original=agent._flush):
             if (
                 host_id not in caught_up
                 and sim.now >= CRASH_AT
-                and cluster.agents[host_id].rx_commit_barrier >= crash_wall
+                and agent.rx_commit_barrier >= crash_wall
             ):
                 caught_up[host_id] = sim.now
+            original()
 
-        agent._update_barriers = hooked
+        agent._flush = hooked
 
     sim.run(until=CRASH_AT + 3_000_000)
-    stalls = [
-        t - CRASH_AT
-        for host_id, t in caught_up.items()
-    ]
+    return caught_up
+
+
+def measure_stall(n_procs: int, kind: str) -> float:
+    """Commit-barrier stall time (us) averaged over correct hosts."""
+    stalls = [t - CRASH_AT for t in catch_up_instants(n_procs, kind).values()]
     assert stalls, f"no correct host recovered after {kind} failure"
     return sum(stalls) / len(stalls) / 1000  # us
 

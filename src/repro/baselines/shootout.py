@@ -59,6 +59,7 @@ from repro.obs.export import metrics_summary
 from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.parallel import run_ordered
 from repro.sim import Simulator
+from repro.sim.stats import Histogram
 
 PROTOCOLS = (
     "lamport", "sequencer", "token", "epto", "switchpaxos", "onepipe",
@@ -82,15 +83,6 @@ def k4_params(**overrides) -> TopologyParams:
     )
     params.update(overrides)
     return TopologyParams(**params)
-
-
-def _percentile_ns(samples: List[int], p: float) -> int:
-    """Nearest-rank (ceil) percentile of integer samples; 0 if empty."""
-    if not samples:
-        return 0
-    ordered = sorted(samples)
-    rank = -(-int(p * len(ordered)) // 100)  # ceil(p/100 * n)
-    return ordered[max(0, min(rank, len(ordered))) - 1]
 
 
 class _CellStats:
@@ -130,12 +122,15 @@ class _CellStats:
         return worst
 
     def latency_summary(self) -> Dict[str, int]:
-        lat = self.latencies
+        if not self.latencies:
+            return {"mean_ns": 0, "p50_ns": 0, "p95_ns": 0, "p99_ns": 0}
+        lat = Histogram()
+        lat.extend(self.latencies)
         return {
-            "mean_ns": (sum(lat) // len(lat)) if lat else 0,
-            "p50_ns": _percentile_ns(lat, 50),
-            "p95_ns": _percentile_ns(lat, 95),
-            "p99_ns": _percentile_ns(lat, 99),
+            "mean_ns": sum(self.latencies) // len(self.latencies),
+            "p50_ns": lat.percentile(50),
+            "p95_ns": lat.percentile(95),
+            "p99_ns": lat.percentile(99),
         }
 
 

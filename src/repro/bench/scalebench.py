@@ -53,16 +53,8 @@ def bench_fat_tree(
     k: int,
     hosts_per_tor: int = 0,
     mode: str = "chip",
-    analytic: bool = True,
 ) -> BenchResult:
-    """Full 1Pipe cluster on a k-ary fat-tree, one process per host.
-
-    Benches default to the analytic beacon fabric (exact by
-    construction, so delivered counts and beacon totals match the
-    event-level run; see docs/PERF.md).  ``analytic=False`` forces
-    event-level beacons for A/B runs; MODE_BFT ignores the flag and
-    always runs event-level.
-    """
+    """Full 1Pipe cluster on a k-ary fat-tree, one process per host."""
     from repro.net.topology import build_fat_tree
     from repro.onepipe import OnePipeCluster, OnePipeConfig
 
@@ -76,7 +68,7 @@ def bench_fat_tree(
     cluster = OnePipeCluster(
         sim,
         n_processes=n_hosts,
-        config=OnePipeConfig(mode=mode, analytic_beacons=analytic),
+        config=OnePipeConfig(mode=mode),
         topology=topology,
     )
     delivered = [0]

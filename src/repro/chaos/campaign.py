@@ -122,7 +122,6 @@ class CampaignRunner:
         use_raft: bool = False,
         metrics: bool = False,
         adversarial: bool = False,
-        analytic_beacons: bool = False,
         jobs: int = 1,
         progress=None,
     ) -> None:
@@ -136,12 +135,6 @@ class CampaignRunner:
         self.use_raft = use_raft
         self.metrics = metrics
         self.adversarial = adversarial
-        # Virtual beacon fabric (repro.onepipe.analytic).  Exact by
-        # construction, so episode reports are byte-identical either
-        # way — which is precisely why the flag never enters the report
-        # (and why CI can diff the two).  Off by default: chaos runs
-        # keep event-level beacons unless asked.
-        self.analytic_beacons = analytic_beacons
         self.jobs = jobs
         self.progress = progress
 
@@ -171,9 +164,7 @@ class CampaignRunner:
         cluster = OnePipeCluster(
             sim,
             n_processes=self.n_processes,
-            config=OnePipeConfig(
-                mode=mode, analytic_beacons=self.analytic_beacons
-            ),
+            config=OnePipeConfig(mode=mode),
             topology=topology,
             replicator=replicator,
         )
@@ -314,7 +305,6 @@ class CampaignRunner:
             "use_raft": self.use_raft,
             "metrics": self.metrics,
             "adversarial": self.adversarial,
-            "analytic_beacons": self.analytic_beacons,
         }
 
     # ------------------------------------------------------------------

@@ -8,7 +8,8 @@ Continuously checks the §2.1 guarantees against a live cluster:
   common messages in the same relative order (checked on demand, since
   it is quadratic).
 - **I3 barrier monotonicity** — no host's received best-effort or commit
-  barrier ever regresses (checked per barrier update via a hook).
+  barrier ever regresses (checked at every host-agent flush, the point
+  where receivers are handed the pair, via a hook).
 - **I4 per-pair FIFO** — messages from one sender to one receiver are
   delivered in send order (checked per delivery against the recorded
   send sequence).
@@ -83,9 +84,9 @@ class InvariantMonitor:
 
     The monitor piggybacks on public hooks only: ``on_recv`` (which
     supports multiple subscribers), wrapped ``*_send`` entry points for
-    send-order tracking, and a wrapped ``_update_barriers`` per host
-    agent for barrier monotonicity — the same technique the link-flap
-    tests used before this class existed.
+    send-order tracking, and a wrapped ``_flush`` per host agent for
+    barrier monotonicity (:attr:`barrier_checks` counts the flushes it
+    compared, so a caller can tell an unobserved run from a clean one).
     """
 
     def __init__(
@@ -116,6 +117,7 @@ class InvariantMonitor:
         self._reliable_sends: List[Tuple[int, tuple, Any, int]] = []
         self.total_sent_messages = 0
         self.total_sent_scatterings = 0
+        self.barrier_checks = 0
 
         for index in range(cluster.n_processes):
             self._instrument_endpoint(cluster.endpoint(index))
@@ -148,27 +150,34 @@ class InvariantMonitor:
         endpoint.reliable_send = reliable_send
 
     def _instrument_agent(self, agent) -> None:
-        original = agent._update_barriers
+        # Observe at the flush, not at ``_update_barriers``: the beacon
+        # fabric's inlined host ingress writes the barriers directly,
+        # but both transports (and data-packet ingress) schedule
+        # ``agent._flush`` at the instant of the change, and the flush
+        # is where receivers are handed the pair.
+        original = agent._flush
         host_id = agent.host.node_id
+        seen = [agent.rx_be_barrier, agent.rx_commit_barrier]
 
-        def hooked(be_barrier, commit_barrier):
-            before_be = agent.rx_be_barrier
-            before_commit = agent.rx_commit_barrier
-            original(be_barrier, commit_barrier)
-            if agent.rx_be_barrier < before_be:
+        def hooked():
+            self.barrier_checks += 1
+            be, commit = agent.rx_be_barrier, agent.rx_commit_barrier
+            if be < seen[0]:
                 self._record(
                     "barrier_monotonic",
                     f"best-effort barrier regressed at {host_id}: "
-                    f"{before_be} -> {agent.rx_be_barrier}",
+                    f"{seen[0]} -> {be}",
                 )
-            if agent.rx_commit_barrier < before_commit:
+            if commit < seen[1]:
                 self._record(
                     "barrier_monotonic",
                     f"commit barrier regressed at {host_id}: "
-                    f"{before_commit} -> {agent.rx_commit_barrier}",
+                    f"{seen[1]} -> {commit}",
                 )
+            seen[0], seen[1] = be, commit
+            original()
 
-        agent._update_barriers = hooked
+        agent._flush = hooked
 
     # ------------------------------------------------------------------
     # Event handlers

@@ -215,7 +215,6 @@ def cmd_chaos(args) -> int:
         use_raft=args.raft,
         metrics=args.metrics,
         adversarial=args.adversarial,
-        analytic_beacons=args.analytic_beacons,
         jobs=args.jobs,
         progress=progress,
     )
@@ -389,7 +388,6 @@ def cmd_verify(args) -> int:
         shrink=not args.no_shrink,
         metrics=args.metrics,
         adversarial=args.adversarial,
-        analytic_beacons=args.analytic_beacons,
         jobs=args.jobs,
         progress=print if not args.quiet else None,
     )
@@ -486,7 +484,6 @@ def cmd_workload(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         faults=args.faults,
-        analytic_beacons=args.analytic_beacons,
     )
     write_report(report, out)
     totals = report["totals"]
@@ -571,10 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--metrics", action="store_true",
                        help="embed per-episode metrics summaries in the "
                             "report (see docs/OBSERVABILITY.md)")
-    chaos.add_argument("--analytic-beacons", action="store_true",
-                       help="run episodes on the virtual beacon fabric "
-                            "(exact; the report is byte-identical to an "
-                            "event-level run — see docs/PERF.md)")
     chaos.add_argument("--jobs", type=int, default=1,
                        help="worker processes for episodes (the report is "
                             "byte-identical for any job count)")
@@ -664,10 +657,6 @@ def build_parser() -> argparse.ArgumentParser:
     workload.add_argument("--faults", type=int, default=0,
                           help="gray-failure faults injected per shard "
                                "(chaos schedule composed with the overload)")
-    workload.add_argument("--analytic-beacons", action="store_true",
-                          help="run shards on the virtual beacon fabric "
-                               "(exact; the report is byte-identical — see "
-                               "docs/PERF.md)")
     workload.add_argument("--jobs", type=int, default=1,
                           help="worker processes for shards (the report is "
                                "byte-identical for any job count)")
@@ -720,10 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--metrics", action="store_true",
                         help="embed per-episode metrics summaries in the "
                              "report (see docs/OBSERVABILITY.md)")
-    verify.add_argument("--analytic-beacons", action="store_true",
-                        help="replay episodes on the virtual beacon fabric "
-                             "(exact; divergence reports are byte-identical "
-                             "to event-level replays — see docs/PERF.md)")
     verify.add_argument("--jobs", type=int, default=1,
                         help="worker processes for episode x mode pairs "
                              "(the report is byte-identical for any job "

@@ -13,9 +13,9 @@ fixed point:
    and re-run (bounded passes; promotion is monotone so this
    terminates).
 3. Build the hot island — a real packet-level
-   :class:`repro.onepipe.OnePipeCluster` over exactly the hot pods,
-   analytic beacon fabric on — couple the cold fabric's per-window core
-   congestion onto the island's core links as a degradation schedule,
+   :class:`repro.onepipe.OnePipeCluster` over exactly the hot pods —
+   couple the cold fabric's per-window core congestion onto the
+   island's core links as a degradation schedule,
    drive seeded watched traffic, and extract the delivery observation.
 4. Check the §2.1 :class:`repro.verify.oracle.ReferenceOracle` on the
    hybrid delivery trace and assemble the deterministic
@@ -79,7 +79,6 @@ class HyperscaleScenario:
     start_ns: int = 60_000
     drain_ns: int = 1_200_000
     fault_targets: Tuple[str, ...] = ()
-    analytic_beacons: bool = True
     mode: str = MODE_CHIP
 
     def descriptor(self) -> FatTreeDescriptor:
@@ -104,7 +103,6 @@ class HyperscaleScenario:
             "start_ns": self.start_ns,
             "drain_ns": self.drain_ns,
             "fault_targets": list(self.fault_targets),
-            "analytic_beacons": self.analytic_beacons,
             "mode": self.mode,
         }
 
@@ -231,9 +229,7 @@ def _run_island(
     cluster = OnePipeCluster(
         sim,
         n_processes=scenario.n_processes,
-        config=OnePipeConfig(
-            mode=scenario.mode, analytic_beacons=scenario.analytic_beacons
-        ),
+        config=OnePipeConfig(mode=scenario.mode),
         topology=topology,
         placement=placement,
     )

@@ -5,7 +5,7 @@ Two artifacts come out of an instrumented run:
 - a **metrics report** (``repro.obs.metrics/1``): the registry snapshot,
   sampler time series, and run metadata.  Pure function of (seed,
   knobs) — no wall-clock or environment data — so the same run twice is
-  byte-identical (the ``obs-smoke`` CI job ``cmp``'s two runs).
+  byte-identical (CI's ``determinism`` job compares two runs).
 - a **Chrome trace-event file**: the JSON object format understood by
   ``chrome://tracing`` and Perfetto.  Tracer records become instant
   events (``ph: "i"``) on one track per component; sampler series
@@ -62,7 +62,7 @@ KNOWN_BYZ_METRICS = frozenset({
 })
 
 # The workload-engine SLO metrics (docs/WORKLOADS.md).  Same closure
-# rationale as ``byz.*``: the workload-smoke CI job compares reports
+# rationale as ``byz.*``: CI's determinism job compares reports
 # byte-for-byte, so the namespace admits only the registered flat names
 # plus per-tenant names of the form ``workload.tenant.<name>.<leaf>``
 # with a registered leaf.
@@ -104,7 +104,7 @@ KNOWN_HYBRID_METRICS = frozenset({
 
 
 # The baseline-shootout counters (docs/BASELINES.md).  Same closure
-# rationale: the shootout-smoke CI job compares reports byte-for-byte,
+# rationale: CI's determinism job compares reports byte-for-byte,
 # so the ``shootout.`` namespace admits only the counters the shootout
 # cell runner emits.
 KNOWN_SHOOTOUT_METRICS = frozenset({

@@ -12,7 +12,7 @@ traffic (the chaos campaign's :class:`TrafficDriver`), rides a
 
 Everything is a pure function of the arguments: the same
 ``(seed, hosts, mode, ...)`` produces byte-identical JSON, which the
-``obs-smoke`` CI job asserts by running the CLI twice and comparing.
+``determinism`` CI job asserts by running the CLI twice and comparing.
 
 This module imports the full cluster stack, so it is *not* re-exported
 from :mod:`repro.obs` — importing it from the package ``__init__``

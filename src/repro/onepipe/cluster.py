@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.net.rpc import Directory
 from repro.net.topology import Topology, build_testbed
+from repro.onepipe.analytic import BeaconFabric
 from repro.onepipe.api import OnePipeEndpoint
 from repro.onepipe.config import MODE_BFT, OnePipeConfig
 from repro.onepipe.controller import Controller
@@ -102,22 +103,26 @@ class OnePipeCluster:
             if self.controller is not None:
                 self.controller.register_endpoint(endpoint)
 
-        # Virtual beacon fabric (repro.onepipe.analytic): exact replay
-        # of the beacon plane without per-beacon packets/events.  Never
-        # under MODE_BFT — its beacons carry per-packet MACs whose
-        # verification is part of the threat model under test.
-        self.fabric = None
-        if self.config.analytic_beacons and self.config.mode != MODE_BFT:
-            from repro.onepipe.analytic import BeaconFabric
-
-            self.fabric = BeaconFabric(sim)
-            for engine in self.engines.values():
-                engine._fabric = self.fabric
-            for agent in self.agents.values():
-                agent._fabric = self.fabric
+        self.fabric: Optional[BeaconFabric] = None
+        if self.config.mode != MODE_BFT:
+            self._install_fabric()
 
         if start_clock_sync:
             self.topology.start_clock_sync()
+
+    def _install_fabric(self) -> None:
+        """Carry beacons on the virtual fabric (repro.onepipe.analytic):
+        an exact replay of the beacon plane without per-beacon packets
+        or events.  Every cluster gets it except MODE_BFT, whose beacons
+        carry per-packet MACs whose verification is part of the threat
+        model under test.  Engines and agents left with ``_fabric`` None
+        send event-level beacon packets — the reference the identity
+        tests compare against (tests/reference.py)."""
+        self.fabric = BeaconFabric(self.sim)
+        for engine in self.engines.values():
+            engine._fabric = self.fabric
+        for agent in self.agents.values():
+            agent._fabric = self.fabric
 
     # ------------------------------------------------------------------
     def endpoint(self, index: int) -> OnePipeEndpoint:

@@ -55,20 +55,6 @@ class OnePipeConfig:
     # microbenchmarks of a single service.
     strict_merge: bool = True
 
-    # --- simulation fidelity ----------------------------------------------
-    # Route beacons through the virtual beacon fabric
-    # (:mod:`repro.onepipe.analytic`): barrier waves advance via batched
-    # per-wave events that perform the *same state mutations at the same
-    # simulated instants* as materialized per-beacon packets, without
-    # allocating packets or one delivery event per link.  Exact by
-    # construction (byte-identical delivery traces and oracle verdicts);
-    # per-link fallback to real beacon packets where a drop_filter
-    # demands packet inspection, disabled entirely under MODE_BFT (whose
-    # beacons carry per-packet MACs).  Off by default: benches turn it
-    # on, chaos/verify runs keep event-level beacons unless asked
-    # (docs/PERF.md).
-    analytic_beacons: bool = False
-
     # --- control plane ----------------------------------------------------
     # One-way latency of the management network between any component and
     # the controller (the paper assumes a separate, always-on management

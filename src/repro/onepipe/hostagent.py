@@ -106,8 +106,7 @@ class HostAgent:
         # (repro.onepipe.analytic); harmless otherwise.
         host.onepipe_agent = self
         # Per-simulator beacon free list; the fabric itself is installed
-        # by the cluster when config.analytic_beacons is on (None =
-        # event-level beacons).
+        # by the cluster outside MODE_BFT (None = event-level beacons).
         self._beacon_pool = beacon_pool_of(self.sim)
         self._fabric = None
         # Admission control (repro.onepipe.admission): None unless the

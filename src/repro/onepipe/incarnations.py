@@ -60,8 +60,8 @@ class _OrderingEngineBase:
         self.be = BarrierRegisterFile()
         self.commit = BarrierRegisterFile()
         # Beacon free list scoped to this run's simulator; the virtual
-        # beacon fabric, installed by the cluster when
-        # ``config.analytic_beacons`` is on (None = event-level beacons).
+        # beacon fabric, installed by the cluster outside MODE_BFT
+        # (None = event-level beacons).
         self._beacon_pool = beacon_pool_of(sim)
         self._fabric = None
         self._last_rx: Dict[Link, int] = {}

@@ -12,7 +12,22 @@ These are intentionally simple, allocation-light collectors:
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
+
+
+def nearest_rank(p: float, n: int) -> int:
+    """1-based nearest-rank position of the ``p``-th percentile among
+    ``n`` sorted samples: ``ceil(p/100 * n)``, and 1 for ``p == 0``.
+
+    The rank is computed from the *decimal* value of ``p``: in binary
+    floating point ``99.9 / 100.0 * 1000`` is ``999.0000000000001``,
+    whose ceil is a full rank high (p99.9 of 1000 samples would be the
+    max), and truncating ``p * n`` first is a rank low.
+    """
+    if not 0 <= p <= 100:
+        raise ValueError(f"percentile out of range: {p}")
+    return max(1, math.ceil(Fraction(str(p)) * n / 100))
 
 
 class Histogram:
@@ -79,12 +94,8 @@ class Histogram:
         """Nearest-rank percentile, p in [0, 100]."""
         if not self._samples:
             raise ValueError("empty histogram")
-        if not 0 <= p <= 100:
-            raise ValueError(f"percentile out of range: {p}")
+        rank = nearest_rank(p, len(self._samples))
         self._ensure_sorted()
-        if p == 0:
-            return self._samples[0]
-        rank = math.ceil(p / 100.0 * len(self._samples))
         return self._samples[rank - 1]
 
     def summary(self) -> Dict[str, float]:

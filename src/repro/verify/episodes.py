@@ -240,7 +240,6 @@ def replay_episode(
     mutate: Optional[Callable[[OnePipeCluster], None]] = None,
     trace_limit: int = 1_000_000,
     metrics: bool = False,
-    analytic_beacons: bool = False,
 ) -> EpisodeRun:
     """Execute ``spec`` on a fresh simulator and extract the observation.
 
@@ -252,14 +251,6 @@ def replay_episode(
     and attaches a :func:`repro.obs.export.metrics_summary` digest to
     the returned :class:`EpisodeRun` — the delivery trace and oracle
     verdict are identical either way (``tests/obs/test_determinism.py``).
-
-    ``analytic_beacons`` replays on the virtual beacon fabric
-    (:mod:`repro.onepipe.analytic`) instead of event-level beacon
-    packets.  The fabric is exact by construction, so the delivery
-    trace, divergence report, and oracle verdict are byte-identical to
-    the default replay (``tests/onepipe/test_analytic_identity.py``);
-    the flag exists so CI can prove that equivalence on the fuzzer
-    corpus.  ``bft`` episodes ignore it (the fabric refuses MODE_BFT).
     """
     from repro.onepipe.sender import ProcessSender
 
@@ -280,9 +271,7 @@ def replay_episode(
     cluster = OnePipeCluster(
         sim,
         n_processes=spec.n_processes,
-        config=OnePipeConfig(
-            mode=spec.mode, analytic_beacons=analytic_beacons
-        ),
+        config=OnePipeConfig(mode=spec.mode),
         topology=topology,
     )
     injector = ChaosInjector(cluster)

@@ -62,7 +62,6 @@ def check_episode(
     spec: EpisodeSpec,
     mutate: Optional[Callable[..., None]] = None,
     metrics: bool = False,
-    analytic_beacons: bool = False,
 ) -> Tuple[EpisodeRun, List[Divergence]]:
     """Replay ``spec`` and diff its traces against the oracle.
 
@@ -71,10 +70,7 @@ def check_episode(
     no extra flags.  Every divergence is stamped with the spec's replay
     coordinates so a report line alone is enough to reproduce it.
     """
-    run = replay_episode(
-        spec, mutate=mutate, metrics=metrics,
-        analytic_beacons=analytic_beacons,
-    )
+    run = replay_episode(spec, mutate=mutate, metrics=metrics)
     divergences = ReferenceOracle(run.observation, attack=attack_info(spec)).check()
     for divergence in divergences:
         divergence.seed = spec.seed
@@ -105,8 +101,7 @@ def _check_one(
     )
     try:
         run, divergences = check_episode(
-            spec, mutate=mutate, metrics=knobs.get("metrics", False),
-            analytic_beacons=knobs.get("analytic_beacons", False),
+            spec, mutate=mutate, metrics=knobs.get("metrics", False)
         )
     except VerifyHarnessError as exc:
         return {
@@ -154,7 +149,6 @@ class VerifyRunner:
         mutate: Optional[Callable[..., None]] = None,
         metrics: bool = False,
         adversarial: bool = False,
-        analytic_beacons: bool = False,
         jobs: int = 1,
         progress: Optional[Callable[[str], None]] = None,
     ) -> None:
@@ -165,10 +159,6 @@ class VerifyRunner:
         self.n_faults = n_faults
         self.metrics = metrics
         self.adversarial = adversarial
-        # Replay on the virtual beacon fabric; the report is
-        # byte-identical either way (the fabric is exact), so the flag
-        # never appears in the JSON — CI diffs the two to prove it.
-        self.analytic_beacons = analytic_beacons
         self.shrink = shrink
         self.max_shrink_replays = max_shrink_replays
         self.mutate = mutate
@@ -193,7 +183,6 @@ class VerifyRunner:
             "n_faults": self.n_faults,
             "metrics": self.metrics,
             "adversarial": self.adversarial,
-            "analytic_beacons": self.analytic_beacons,
         }
         payloads = [
             (knobs, index, mode)
@@ -284,19 +273,13 @@ class VerifyRunner:
         )
 
         def diverges(candidate: EpisodeSpec) -> bool:
-            _run, divs = check_episode(
-                candidate, mutate=self.mutate,
-                analytic_beacons=self.analytic_beacons,
-            )
+            _run, divs = check_episode(candidate, mutate=self.mutate)
             return bool(divs)
 
         small, replays = shrink_episode(
             spec, diverges, max_replays=self.max_shrink_replays
         )
-        _run, divs = check_episode(
-            small, mutate=self.mutate,
-            analytic_beacons=self.analytic_beacons,
-        )
+        _run, divs = check_episode(small, mutate=self.mutate)
         self.progress(
             f"shrunk to {len(small.sends)} sends, {len(small.faults)} faults "
             f"in {replays} replays"

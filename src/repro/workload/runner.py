@@ -6,14 +6,12 @@ chaos/verify stride).  Shards fan out over worker processes via
 :func:`repro.parallel.run_ordered`, and the merged report is a pure
 function of ``(scenario, seed, faults)`` — byte-identical across runs
 and across ``--jobs`` values (the job count never enters the JSON; the
-``workload-smoke`` CI job ``cmp``'s two runs).
+``determinism`` CI job ``cmp``'s two runs).
 
 Each shard also audits §2.1 per-sender ordering from the delivery
 trace: the sequence delivered at every receiver must be sorted by the
 total-order key ``(ts, src, msg_id)``.  ``report["ok"]`` requires zero
-violations in every shard.  ``--analytic-beacons`` replays shards on
-the virtual beacon fabric; the fabric is exact, so the report bytes do
-not change and the flag stays out of the JSON.
+violations in every shard.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ def run_shard(
     shard: int,
     *,
     faults: int = 0,
-    analytic_beacons: bool = False,
     check_ordering: bool = True,
     keep_run: bool = False,
 ):
@@ -46,7 +43,7 @@ def run_shard(
     ``keep_run``, the live engine/cluster/records for test inspection).
     """
     from repro.chaos.schedule import ChaosInjector, ChaosSchedule
-    from repro.onepipe import OnePipeCluster, OnePipeConfig
+    from repro.onepipe import OnePipeCluster
     from repro.onepipe.sender import ProcessSender
     from repro.sim import Simulator
     from repro.verify.episodes import build_verify_topology
@@ -67,7 +64,6 @@ def run_shard(
     cluster = OnePipeCluster(
         sim,
         n_processes=scenario.n_processes,
-        config=OnePipeConfig(analytic_beacons=analytic_beacons),
         topology=topology,
     )
     if faults:
@@ -181,11 +177,8 @@ def _shard_report(
 # Fan-out + merge
 # ----------------------------------------------------------------------
 def _shard_worker(payload) -> Dict[str, Any]:
-    scenario, seed, shard, faults, analytic_beacons = payload
-    return run_shard(
-        scenario, seed, shard, faults=faults,
-        analytic_beacons=analytic_beacons,
-    )
+    scenario, seed, shard, faults = payload
+    return run_shard(scenario, seed, shard, faults=faults)
 
 
 def _merged_lag(shard_tenants: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -219,12 +212,11 @@ def run_scenario(
     *,
     jobs: int = 1,
     faults: int = 0,
-    analytic_beacons: bool = False,
     progress: Optional[Any] = None,
 ) -> Dict[str, Any]:
     """Run every shard and merge the deterministic scenario report."""
     payloads = [
-        (scenario, seed, shard, faults, analytic_beacons)
+        (scenario, seed, shard, faults)
         for shard in range(scenario.shards)
     ]
     shards = run_ordered(_shard_worker, payloads, jobs=jobs,

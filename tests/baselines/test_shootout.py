@@ -16,7 +16,7 @@ from repro.baselines.shootout import (
     ShootoutRunner,
     k4_params,
     write_report,
-    _percentile_ns,
+    _CellStats,
 )
 
 # A small grid that still crosses a host-side and an in-network
@@ -27,11 +27,14 @@ SMALL = dict(protocols=("sequencer", "switchpaxos"),
 
 
 def test_percentile_is_ceil_rank():
-    samples = list(range(1_000, 11_000, 1_000))  # 10 samples
-    assert _percentile_ns(samples, 50) == 5_000
-    assert _percentile_ns(samples, 95) == 10_000  # ceil(9.5) = rank 10
-    assert _percentile_ns(samples, 99) == 10_000
-    assert _percentile_ns([], 95) == 0
+    stats = _CellStats(sim=None)
+    assert stats.latency_summary()["p95_ns"] == 0  # no deliveries
+    stats.latencies = list(range(10_000, 0, -1_000))  # 10 samples, unsorted
+    summary = stats.latency_summary()
+    assert summary["p50_ns"] == 5_000
+    assert summary["p95_ns"] == 10_000  # ceil(9.5) = rank 10
+    assert summary["p99_ns"] == 10_000
+    assert stats.latencies[0] == 10_000  # the summary sorts a copy
 
 
 def test_k4_topology_shape():

@@ -117,14 +117,57 @@ class TestBrokenOrderingIsCaught:
         def buggy_update(be_barrier, commit_barrier):
             agent.rx_be_barrier = be_barrier
             agent.rx_commit_barrier = commit_barrier
+            sim.post(0, agent._flush)
 
         agent._update_barriers = buggy_update
         monitor = InvariantMonitor(cluster)
-        agent._update_barriers(1000, 900)
-        agent._update_barriers(400, 300)
+        # Far above anything a real beacon carries this early, so the
+        # (correct) beacon ingress never moves the pair in between.
+        agent._update_barriers(10**12, 9 * 10**11)
+        sim.run(until=sim.now + 1)
+        assert monitor.violations == []
+        agent._update_barriers(4 * 10**11, 3 * 10**11)
+        sim.run(until=sim.now + 1)
         invariants = [v.invariant for v in monitor.violations]
         assert invariants.count("barrier_monotonic") == 2
         assert all(v.seed == 13 for v in monitor.violations)
+
+    def test_barrier_regression_through_the_fabric_is_caught(self):
+        """Same bug class on the default transport: the fabric's inlined
+        host ingress writes the barriers itself (no ``_update_barriers``
+        call), so the check must fire from what the fabric-posted flush
+        hands the receivers.  The agent forgets its pair after every
+        flush — which turns the ingress guard into a blind assignment —
+        and a stale beacon is sent down the ToR→host link through the
+        fabric's own emission entry point."""
+        sim, cluster = build(seed=13)
+        assert cluster.fabric is not None
+        agent = cluster.endpoint(0).agent
+        correct_flush = agent._flush
+
+        def forgetful_flush():
+            correct_flush()
+            agent.rx_be_barrier = agent.rx_commit_barrier = 0
+
+        agent._flush = forgetful_flush
+        monitor = InvariantMonitor(cluster)
+        sim.run(until=200_000)
+        # An idle cluster moves barriers only through fabric beacons,
+        # and real ToR emissions are monotone: thousands of flushes
+        # observed (an unobserved run must not look clean), none flagged.
+        assert cluster.fabric.virtual_beacons > 0
+        assert monitor.barrier_checks > 100
+        assert monitor.violations == []
+        cluster.fabric.emit([agent.host.downlink], 2, 1)
+        sim.run(until=sim.now + 3_000)
+        violations = [
+            v for v in monitor.violations
+            if v.invariant == "barrier_monotonic"
+        ]
+        assert len(violations) == 2
+        assert "-> 2" in violations[0].detail
+        assert "-> 1" in violations[1].detail
+        assert all(v.seed == 13 for v in violations)
 
     def test_violation_to_dict_is_json_ready(self):
         violation = InvariantViolation(

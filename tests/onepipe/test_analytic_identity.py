@@ -1,11 +1,13 @@
 """The analytic beacon fabric's fidelity contract, enforced.
 
-``repro.onepipe.analytic`` claims exactness, not approximation: with
-``analytic_beacons`` on, every observable of a run — delivery traces,
-oracle verdicts, barrier state, link counters, RNG-driven drop draws —
-must be byte-identical to the event-level run (only the scheduler's
-event count and PacketTap captures may differ).  These tests pin that
-contract from five angles:
+``repro.onepipe.analytic`` claims exactness, not approximation: every
+observable of a run on the fabric — delivery traces, oracle verdicts,
+barrier state, link counters, RNG-driven drop draws — must be
+byte-identical to the same run on event-level beacon packets (only the
+scheduler's event count and PacketTap captures may differ).  The fabric
+is what every non-BFT cluster runs; the packet reference is obtained
+through the one test-only seam, ``tests/reference.py``.  These tests
+pin the contract from six angles:
 
 - a clean steady-state workload on every incarnation;
 - a perturbed run (corruption loss, burst loss, a packet-inspecting
@@ -15,12 +17,16 @@ contract from five angles:
 - the verify fuzzer corpus (delivery trace + reference-oracle verdict);
 - the committed Byzantine breach reproducers (adversarial faults in
   un-hardened mode, where the fabric stays engaged);
-- a chaos-campaign episode (full invariant-monitor report).
+- a chaos-campaign episode (full invariant-monitor report);
+- the Fig. 10 recovery scenarios (ToR crash, host crash under reliable
+  traffic with the controller's Detect→Resume round): per-host first
+  catch-up instants.
 
 Plus two regressions: back-to-back runs in one process stay identical
 (the beacon free list is per-simulator — a shared pool would let one
-run's packets leak into the next), and MODE_BFT refuses the fabric
-entirely (its beacons carry per-packet MACs).
+run's packets leak into the next), and the transport is selected from
+the mode alone (fabric by default, packets under MODE_BFT, whose
+beacons carry per-packet MACs).
 """
 
 import pytest
@@ -31,6 +37,7 @@ from repro.net.topology import build_fat_tree
 from repro.onepipe.cluster import OnePipeCluster
 from repro.onepipe.config import MODE_BFT, MODES, OnePipeConfig
 from repro.sim import Simulator
+from tests.reference import on_packet_beacons
 
 
 def _sorted_links(topo):
@@ -40,12 +47,18 @@ def _sorted_links(topo):
     return sorted(links, key=lambda l: (l.src.node_id, l.dst.node_id))
 
 
-def _run_workload(mode, analytic, seed, until, perturb=False):
-    """One seeded workload; returns every observable the fabric touches."""
+def _k4_cluster(seed, mode="chip"):
     sim = Simulator(seed=seed)
     topo = build_fat_tree(sim, fat_tree_params(4, hosts_per_tor=2))
-    config = OnePipeConfig(mode=mode, analytic_beacons=analytic)
-    cluster = OnePipeCluster(sim, n_processes=8, config=config, topology=topo)
+    cluster = OnePipeCluster(
+        sim, n_processes=8, config=OnePipeConfig(mode=mode), topology=topo
+    )
+    return sim, topo, cluster
+
+
+def _run_workload(mode, seed, until, perturb=False):
+    """One seeded workload; returns every observable the fabric touches."""
+    sim, topo, cluster = _k4_cluster(seed, mode)
     links = _sorted_links(topo)
 
     if perturb:
@@ -115,16 +128,18 @@ def _run_workload(mode, analytic, seed, until, perturb=False):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_clean_run_identical(mode):
-    off = _run_workload(mode, False, seed=7, until=400_000)
-    on = _run_workload(mode, True, seed=7, until=400_000)
+    off = on_packet_beacons(_run_workload, mode, seed=7, until=400_000)
+    on = _run_workload(mode, seed=7, until=400_000)
     assert off == on
     assert off["delivered"], "workload must actually deliver"
 
 
 @pytest.mark.parametrize("mode", MODES)
 def test_perturbed_run_identical(mode):
-    off = _run_workload(mode, False, seed=11, until=500_000, perturb=True)
-    on = _run_workload(mode, True, seed=11, until=500_000, perturb=True)
+    off = on_packet_beacons(
+        _run_workload, mode, seed=11, until=500_000, perturb=True
+    )
+    on = _run_workload(mode, seed=11, until=500_000, perturb=True)
     assert off == on
     # The perturbations must engage the RNG-drawing drop paths, or this
     # test proves less than it claims.
@@ -135,34 +150,40 @@ def test_perturbed_run_identical(mode):
 
 def test_fallback_beacons_on_filtered_links():
     """A drop_filter forces materialized beacons; the rest stay virtual."""
-    sim = Simulator(seed=3)
-    topo = build_fat_tree(sim, fat_tree_params(4, hosts_per_tor=2))
-    config = OnePipeConfig(mode="chip", analytic_beacons=True)
-    cluster = OnePipeCluster(sim, n_processes=8, config=config, topology=topo)
+    sim, topo, cluster = _k4_cluster(seed=3)
     _sorted_links(topo)[5].drop_filter = lambda p: False
     sim.run(until=200_000)
-    assert cluster.fabric is not None
     assert cluster.fabric.virtual_beacons > 0
     assert cluster.fabric.fallback_beacons > 0
 
 
 def test_back_to_back_runs_identical():
-    """Two analytic runs in one process match one run in a fresh
+    """Two fabric runs in one process match one run in a fresh
     process-state: the beacon free list is scoped per simulator, so no
     pooled packet survives into (or poisons) a later run."""
-    first = _run_workload("chip", True, seed=7, until=400_000)
-    second = _run_workload("chip", True, seed=7, until=400_000)
+    first = _run_workload("chip", seed=7, until=400_000)
+    second = _run_workload("chip", seed=7, until=400_000)
     assert first == second
 
 
-def test_bft_refuses_fabric():
-    sim = Simulator(seed=5)
-    topo = build_fat_tree(sim, fat_tree_params(4, hosts_per_tor=2))
-    config = OnePipeConfig(mode=MODE_BFT, analytic_beacons=True)
-    cluster = OnePipeCluster(sim, n_processes=8, config=config, topology=topo)
-    assert cluster.fabric is None
+@pytest.mark.parametrize("build", ["default", "bft", "reference"])
+def test_transport_follows_mode(build):
+    """The code picks the transport from the mode it already knows: a
+    default cluster runs on the fabric, MODE_BFT (per-packet MACs) and
+    the test-only reference seam on event-level packets."""
+    if build == "default":
+        sim = Simulator(seed=5)
+        cluster = OnePipeCluster(sim, 8)
+    elif build == "bft":
+        sim, _topo, cluster = _k4_cluster(seed=5, mode=MODE_BFT)
+    else:
+        sim, _topo, cluster = on_packet_beacons(_k4_cluster, seed=5)
+    assert (cluster.fabric is not None) == (build == "default")
     sim.run(until=100_000)
     assert cluster.total_beacons() > 0
+    if cluster.fabric is not None:
+        assert cluster.fabric.virtual_beacons > 0
+        assert cluster.fabric.fallback_beacons == 0
 
 
 # ----------------------------------------------------------------------
@@ -190,8 +211,8 @@ def test_fuzzer_corpus_identity(mode):
             seed=episode_seed(9, index), episode=index, mode=mode,
             scale="small", n_faults=3,
         )
-        run_off, divs_off = check_episode(spec)
-        run_on, divs_on = check_episode(spec, analytic_beacons=True)
+        run_off, divs_off = on_packet_beacons(check_episode, spec)
+        run_on, divs_on = check_episode(spec)
         assert _run_key(run_off) == _run_key(run_on)
         assert [d.to_dict() for d in divs_off] == [d.to_dict() for d in divs_on]
 
@@ -207,8 +228,8 @@ def test_breach_reproducer_identity(name):
     from repro.verify.runner import check_episode
 
     spec = load_spec(name)
-    run_off, divs_off = check_episode(spec)
-    run_on, divs_on = check_episode(spec, analytic_beacons=True)
+    run_off, divs_off = on_packet_beacons(check_episode, spec)
+    run_on, divs_on = check_episode(spec)
     assert _run_key(run_off) == _run_key(run_on)
     assert [d.to_dict() for d in divs_off] == [d.to_dict() for d in divs_on]
     assert divs_off, "a breach reproducer must diverge un-hardened"
@@ -219,10 +240,17 @@ def test_chaos_episode_identity():
     fault schedule, delivery counts) is unchanged by the fabric."""
     from repro.chaos import CampaignRunner
 
-    reports = [
-        CampaignRunner(
-            seed=13, episodes=1, analytic_beacons=analytic
-        ).run_episode(0)
-        for analytic in (False, True)
-    ]
-    assert reports[0] == reports[1]
+    runner = CampaignRunner(seed=13, episodes=1)
+    assert on_packet_beacons(runner.run_episode, 0) == runner.run_episode(0)
+
+
+@pytest.mark.parametrize("kind", ["ToR Switch", "Host"])
+def test_fig10_recovery_identity(kind):
+    """Controller-driven recovery (Detect → ... → Resume) is the path
+    every figure newly takes on the fabric: each correct host's first
+    catch-up instant after the crash must match the reference exactly."""
+    from benchmarks.test_fig10_failure_recovery import catch_up_instants
+
+    reference = on_packet_beacons(catch_up_instants, 16, kind)
+    assert catch_up_instants(16, kind) == reference
+    assert reference, "some correct host must catch up"

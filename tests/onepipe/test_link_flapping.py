@@ -4,6 +4,7 @@ or breaking delivery ordering."""
 
 import pytest
 
+from repro.chaos import InvariantMonitor
 from repro.net import FailureInjector
 from repro.onepipe import OnePipeCluster
 from repro.sim import Simulator
@@ -17,22 +18,9 @@ def run_flapping(seed=91, flaps=3, period=400_000):
     rec = Recorder(cluster)
     injector = FailureInjector(cluster.topology)
 
-    # Monitor barrier monotonicity at every host.
-    regressions = []
-    for host_id, agent in cluster.agents.items():
-        original = agent._update_barriers
-        state = {"be": 0, "commit": 0}
-
-        def hooked(be, commit, agent=agent, state=state, original=original):
-            original(be, commit)
-            if agent.rx_be_barrier < state["be"]:
-                regressions.append((agent.host.node_id, "be"))
-            if agent.rx_commit_barrier < state["commit"]:
-                regressions.append((agent.host.node_id, "commit"))
-            state["be"] = agent.rx_be_barrier
-            state["commit"] = agent.rx_commit_barrier
-
-        agent._update_barriers = hooked
+    # Barrier monotonicity at every host, observed at the agents' flush
+    # (the point both beacon transports share).
+    monitor = InvariantMonitor(cluster)
 
     # Flap a spine-core cable repeatedly (no process ever fails).
     for flap in range(flaps):
@@ -49,12 +37,17 @@ def run_flapping(seed=91, flaps=3, period=400_000):
     for r in range(60):
         sim.schedule(r * 20_000, traffic, r)
     sim.run(until=150_000 + flaps * period + 1_500_000)
-    return sim, cluster, rec, regressions
+    return sim, cluster, rec, monitor
 
 
 def test_barriers_never_regress_across_flaps():
-    _sim, _cluster, _rec, regressions = run_flapping()
-    assert regressions == []
+    _sim, cluster, _rec, monitor = run_flapping()
+    # The flaps' barrier movement is beacon-driven, and beacons travel
+    # on the fabric: the check must have watched those flushes (there
+    # are only 240 data packets, so nearly all of ~30k are beacons').
+    assert cluster.fabric.virtual_beacons > 0
+    assert monitor.barrier_checks > 10_000
+    assert monitor.summary().get("barrier_monotonic", 0) == 0
 
 
 def test_ordering_preserved_across_flaps():

@@ -2,9 +2,10 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.sim.stats import Counter, Histogram, TimeSeries, WindowedRate
@@ -107,6 +108,18 @@ class TestHistogram:
             rank = math.ceil(p / 100.0 * len(ordered))
             assert h.percentile(p) == ordered[rank - 1]
         assert h.percentile(0) == ordered[0]
+
+    @given(
+        st.sampled_from([5, 50, 95, 99, 99.9]),
+        st.integers(min_value=1, max_value=5000),
+    )
+    @example(99.9, 1000)
+    def test_percentile_rank_uses_decimal_p(self, p, n):
+        # 99.9 / 100.0 * 1000 == 999.0000000000001 in binary floating
+        # point: a float ceil returns the max for p99.9 of 1000*k samples.
+        h = Histogram()
+        h.extend(range(1, n + 1))  # the sample at rank r is r
+        assert h.percentile(p) == math.ceil(Fraction(str(p)) / 100 * n)
 
     @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1))
     def test_percentile_0_and_100_are_min_and_max(self, values):

@@ -1,7 +1,7 @@
 """Scenario runner determinism + the workload metric namespace.
 
 - merged scenario reports are byte-identical across runs and across
-  ``--jobs`` values (the CI ``workload-smoke`` job cmp's real files;
+  ``--jobs`` values (the CI ``determinism`` job cmp's real files;
   this is the in-process equivalent);
 - two runs in the *same* Python process are byte-identical — the
   regression test for the per-instance app id counters (a shared

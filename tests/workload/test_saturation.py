@@ -7,7 +7,8 @@ and check the *reference* semantics under sustained admission-control
 pressure: O1 per-sender ordering, exactly-once for the reliable
 service, and — with chaos faults composed in — O5/O6 failure
 atomicity/notification.  Each scenario variant also runs on the
-analytic beacon fabric, which must be report-byte-identical.
+packet-beacon reference (``tests/reference.py``), which must be
+report-byte-identical.
 """
 
 import pytest
@@ -17,11 +18,12 @@ from repro.verify.episodes import extract_observation
 from repro.verify.oracle import ReferenceOracle
 from repro.workload.runner import run_shard
 from repro.workload.scenarios import get_scenario
+from tests.reference import on_packet_beacons
 
 SCENARIOS = ("hotspot", "flash_crowd", "retry_storm")
 
 
-def run_raw(name, *, faults=0, analytic_beacons=False):
+def run_raw(name, *, faults=0):
     # Raw scatterings complete in one RTT — far cheaper than the app
     # round trips the scenarios are tuned for — and raw mode spreads
     # clients over all eight hosts, so squeeze the admission window and
@@ -47,10 +49,7 @@ def run_raw(name, *, faults=0, analytic_beacons=False):
             max_inflight=1, queue_limit=4, op_timeout_ns=2_000_000
         ),
     )
-    return scenario, run_shard(
-        scenario, 1, 0, faults=faults,
-        analytic_beacons=analytic_beacons, keep_run=True,
-    )
+    return scenario, run_shard(scenario, 1, 0, faults=faults, keep_run=True)
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -72,12 +71,13 @@ def test_oracle_clean_at_saturation(name):
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
-def test_oracle_clean_at_saturation_analytic_beacons(name):
-    """The virtual beacon fabric is exact: the oracle stays clean and
-    the shard report is byte-identical to the event-level run."""
-    _, (event_report, _run) = run_raw(name)
-    _, (analytic_report, run) = run_raw(name, analytic_beacons=True)
-    assert dumps_stable(analytic_report) == dumps_stable(event_report)
+def test_oracle_clean_at_saturation_packet_beacons(name):
+    """The virtual beacon fabric is exact: on event-level beacons the
+    oracle stays clean and the shard report is byte-identical."""
+    _, (fabric_report, _run) = run_raw(name)
+    _, (packet_report, run) = on_packet_beacons(run_raw, name)
+    assert run["cluster"].fabric is None
+    assert dumps_stable(packet_report) == dumps_stable(fabric_report)
     observation = extract_observation(
         run["sim"], run["cluster"], run["app"].records
     )
