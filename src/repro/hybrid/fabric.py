@@ -99,8 +99,12 @@ def _step_pod(
 ) -> Tuple[Dict[str, int], List[Tuple[int, Tuple[str, int, int]]]]:
     """One window of one cold pod.  Pure integers in, pure integers out."""
     config = state.config
-    rng = state.rng
-    other_cold = [p for p in config.cold_pods if p != state.pod]
+    pod = state.pod
+    hot_pods = config.hot_pods
+    remote_pods = [p for p in hot_pods + config.cold_pods if p != pod]
+    randint, randrange, choice = (
+        state.rng.randint, state.rng.randrange, state.rng.choice
+    )
 
     in_flows = len(inbox)
     in_bytes = sum(size for _kind, _src, size in inbox)
@@ -109,25 +113,24 @@ def _step_pod(
     out_cold_bytes = 0
     to_hot_bytes = 0
     outbox: List[Tuple[int, Tuple[str, int, int]]] = []
-    mean = config.mean_flow_bytes
+    size_lo, size_hi = config.mean_flow_bytes // 2, config.mean_flow_bytes * 2
     window_cap = config.host_window_bytes()
+    local_pct = config.local_fraction_pct
     for _ in range(config.flows_per_window):
         # A flow offers at most its host link's window share this window
         # (bigger flows show up as sustained demand across redraws).
-        size = min(rng.randint(mean // 2, mean * 2), window_cap)
-        if rng.randrange(100) < config.local_fraction_pct:
+        size = min(randint(size_lo, size_hi), window_cap)
+        if randrange(100) < local_pct:
             local_flows += 1
             continue
         # Remote: uniformly any other pod; hot destinations feed the
         # island's core-degradation schedule instead of the event plane.
-        dst = rng.choice(
-            [p for p in config.hot_pods + tuple(other_cold) if p != state.pod]
-        )
-        if dst in config.hot_pods:
+        dst = choice(remote_pods)
+        if dst in hot_pods:
             to_hot_bytes += size
         else:
             out_cold_bytes += size
-            outbox.append((dst, ("flow", state.pod, size)))
+            outbox.append((dst, ("flow", pod, size)))
     n_flows = config.flows_per_window
     state.flows_total += n_flows
 
@@ -158,7 +161,7 @@ def _step_pod(
 
     state.bytes_to_hot += to_hot_bytes
     output = {
-        "pod": state.pod,
+        "pod": pod,
         "window": window,
         "flows": n_flows,
         "local_flows": local_flows,

@@ -1,15 +1,17 @@
-"""Shortest-path DAG routing with ECMP.
+"""Shortest-path DAG routing with ECMP, computed per destination class.
 
 Routes are computed over the *logical* routing graph (up/down switch
 halves, paper Fig. 3).  Among switches this graph is a DAG — that is the
 property hierarchical barrier aggregation relies on — while hosts appear
 as both sources (uplink edges) and sinks (downlink edges) and never
-forward, so the BFS below refuses to traverse *through* a host.
+forward, so only switch-to-switch edges are ever traversed.
 
-For every destination host we run a reverse BFS and install, at each
-switch, every outgoing link that lies on a shortest path.  Ties form the
-ECMP set; the switch picks among them by flow hash (default) or
-per-packet spraying.
+Hosts attached to the same set of switches (a rack, in a fat-tree) are
+the same destination for every other switch.  So there is one reverse
+BFS per such *class*, from its attachment switches, and every switch at
+distance >= 2 holds one immutable next-hop tuple — every outgoing link
+on a shortest path, the ECMP set — that all hosts of the class share.
+Only the attachment switch has a per-host entry: its downlink.
 
 This generic computation reproduces up/down (valley-free) routing on
 fat-trees without hard-coding the tier structure, so tests can build
@@ -19,13 +21,51 @@ failures.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, Iterable
+from typing import Dict, Iterable, List, Tuple
 
 import networkx as nx
 
+from repro.net.link import Link
 from repro.net.nic import Host
 from repro.net.switch import Switch
+
+
+def _switch_dag(graph: nx.DiGraph, exclude_links=frozenset()):
+    """The live routing graph as plain adjacency, verified acyclic.
+
+    Returns ``(successors, predecessors, downlinks)``: per switch its
+    switch successors as ``(switch id, link)`` in edge order and its
+    switch predecessors, and per host ``{attachment switch id: link}``.
+    """
+    successors: Dict[str, List[Tuple[str, Link]]] = {
+        node_id: []
+        for node_id, node in graph.nodes(data="obj")
+        if isinstance(node, Switch)
+    }
+    predecessors: Dict[str, List[str]] = {node_id: [] for node_id in successors}
+    downlinks: Dict[str, Dict[str, Link]] = {}
+    for node_id, edges in successors.items():
+        for nbr, data in graph.adj[node_id].items():
+            link = data["link"]
+            if link in exclude_links:
+                continue
+            if nbr in successors:
+                edges.append((nbr, link))
+                predecessors[nbr].append(node_id)
+            else:
+                downlinks.setdefault(nbr, {})[node_id] = link
+    indegree = {node_id: len(preds) for node_id, preds in predecessors.items()}
+    peeled = [node_id for node_id, degree in indegree.items() if not degree]
+    for node_id in peeled:  # Kahn: the list grows while it is walked
+        for nbr, _link in successors[node_id]:
+            indegree[nbr] -= 1
+            if not indegree[nbr]:
+                peeled.append(nbr)
+    if len(peeled) != len(successors):
+        raise ValueError(
+            "switch routing graph must be a DAG (up/down logical split)"
+        )
+    return successors, predecessors, downlinks
 
 
 def check_switch_dag(graph: nx.DiGraph) -> None:
@@ -34,32 +74,18 @@ def check_switch_dag(graph: nx.DiGraph) -> None:
     Cycles through hosts are fine (hosts never forward); a cycle among
     switches would break both forwarding and barrier aggregation.
     """
-    switch_ids = [
-        node_id
-        for node_id, data in graph.nodes(data=True)
-        if isinstance(data.get("obj"), Switch)
-    ]
-    if not nx.is_directed_acyclic_graph(graph.subgraph(switch_ids)):
-        raise ValueError(
-            "switch routing graph must be a DAG (up/down logical split)"
-        )
+    _switch_dag(graph)
 
 
-def _reverse_bfs_distances(graph: nx.DiGraph, dst: str) -> Dict[str, int]:
-    """Hop distance to ``dst`` for every node with a forwarding path.
-
-    Walks reversed edges, never expanding out of a host node other than
-    the destination itself (packets cannot be forwarded through a host).
-    """
-    dist = {dst: 0}
-    queue = deque([dst])
-    while queue:
-        node_id = queue.popleft()
-        if node_id != dst and isinstance(
-            graph.nodes[node_id].get("obj"), Host
-        ):
-            continue  # hosts are leaves of the forwarding graph
-        for pred in graph.predecessors(node_id):
+def _reverse_bfs_distances(
+    predecessors: Dict[str, List[str]], attached: Iterable[str]
+) -> Dict[str, int]:
+    """Hop distance to a host behind the ``attached`` switches (distance
+    1) for every switch with a forwarding path to it."""
+    dist = dict.fromkeys(attached, 1)
+    queue = list(dist)
+    for node_id in queue:  # grows while it is walked
+        for pred in predecessors[node_id]:
             if pred not in dist:
                 dist[pred] = dist[node_id] + 1
                 queue.append(pred)
@@ -76,28 +102,39 @@ def compute_routes(
     controller reconfiguring routing tables on failure, paper §3.1).
     Returns the number of route entries installed (for diagnostics).
     """
-    if exclude_links:
-        working = nx.DiGraph()
-        working.add_nodes_from(graph.nodes(data=True))
-        for u, v, data in graph.edges(data=True):
-            if data.get("link") not in exclude_links:
-                working.add_edge(u, v, **data)
-        graph = working
-    check_switch_dag(graph)
+    successors, predecessors, downlinks = _switch_dag(graph, exclude_links)
+    tables = {
+        node_id: graph.nodes[node_id]["obj"].routes for node_id in successors
+    }
+    # Destination class (its attachment switches) -> the (table, shared
+    # next hops) pair of every switch at distance >= 2, and their total.
+    classes: Dict[frozenset, Tuple[list, int]] = {}
     installed = 0
-    for host in hosts:
+    for host in hosts:  # host order is every table's key order
         dst = host.node_id
-        dist = _reverse_bfs_distances(graph, dst)
-        for node_id, node_dist in dist.items():
-            if node_id == dst:
-                continue
-            node = graph.nodes[node_id].get("obj")
-            if not isinstance(node, Switch):
-                continue  # hosts do not route
-            for _, nbr, data in graph.out_edges(node_id, data=True):
-                if dist.get(nbr, -1) == node_dist - 1:
-                    node.add_route(dst, data["link"])
-                    installed += 1
+        attached = downlinks.get(dst, {})
+        key = frozenset(attached)
+        if key not in classes:
+            dist = _reverse_bfs_distances(predecessors, attached)
+            entries = [
+                (
+                    tables[node_id],
+                    tuple(
+                        link
+                        for nbr, link in successors[node_id]
+                        if dist.get(nbr) == node_dist - 1
+                    ),
+                )
+                for node_id, node_dist in dist.items()
+                if node_dist > 1
+            ]
+            classes[key] = entries, sum(len(hops) for _table, hops in entries)
+        entries, width = classes[key]
+        for node_id, link in attached.items():
+            tables[node_id][dst] = (link,)
+        for table, hops in entries:
+            table[dst] = hops
+        installed += len(attached) + width
     return installed
 
 

@@ -16,7 +16,7 @@ switch with no engine is a plain DCN switch (used by baselines).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
@@ -110,8 +110,9 @@ class Switch(Node):
         # Healthy pipeline delay; kept so straggler injection (a slowed
         # pipeline, see repro.chaos) can be reverted exactly.
         self.base_forwarding_delay_ns = forwarding_delay_ns
-        # dst host id -> list of candidate output links (ECMP set).
-        self.routes: Dict[str, List[Link]] = {}
+        # dst host id -> candidate output links (ECMP set); the tuple is
+        # shared by every destination of the class (net.routing).
+        self.routes: Dict[str, Tuple[Link, ...]] = {}
         self.engine: Optional[OrderingEngine] = None
         self._ecmp_rng = sim.rng(f"switch.ecmp.{node_id}")
         self.ecmp_mode = "flow"  # "flow" (hash src,dst) or "packet" (spray)
@@ -136,9 +137,6 @@ class Switch(Node):
         if factor <= 0:
             raise ValueError(f"straggler factor must be positive: {factor}")
         self.forwarding_delay_ns = int(self.base_forwarding_delay_ns * factor)
-
-    def add_route(self, dst_host: str, link: Link) -> None:
-        self.routes.setdefault(dst_host, []).append(link)
 
     # ------------------------------------------------------------------
     def receive(self, packet: Packet, in_link: Link) -> None:
@@ -173,7 +171,7 @@ class Switch(Node):
         link = self._pick(candidates, packet)
         link.send(packet)
 
-    def _pick(self, candidates: List[Link], packet: Packet) -> Link:
+    def _pick(self, candidates: Tuple[Link, ...], packet: Packet) -> Link:
         if len(candidates) == 1:
             return candidates[0]
         if self.ecmp_mode == "packet":

@@ -225,6 +225,7 @@ class Topology:
         self.sim = sim
         self.params = params
         self.hosts: List[Host] = []
+        self._host_by_id: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
         self.links: Dict[str, Link] = {}
         self.graph = nx.DiGraph()
@@ -249,6 +250,7 @@ class Topology:
             self.sim, node_id, clock=clock, nic_delay_ns=self.params.nic_delay_ns
         )
         self.hosts.append(host)
+        self._host_by_id[node_id] = host
         self.graph.add_node(node_id, obj=host)
         return host
 
@@ -299,10 +301,7 @@ class Topology:
         return self.hosts[index]
 
     def host_by_id(self, node_id: str) -> Host:
-        for host in self.hosts:
-            if host.node_id == node_id:
-                return host
-        raise KeyError(node_id)
+        return self._host_by_id[node_id]
 
     def node(self, node_id: str):
         return self.graph.nodes[node_id]["obj"]
@@ -365,10 +364,11 @@ def build_fat_tree(
 ) -> Topology:
     """Build a pods/spines/cores fat-tree with logical up/down switches.
 
-    ``install_routes=False`` skips the per-host routing BFS — used by
+    ``install_routes=False`` skips route installation — used by
     construction-invariant tests on very large geometries (k=32: 8k+
     hosts), where the counts and wiring are the properties under test
-    and the full route computation would dominate the suite's runtime.
+    and one table entry per (switch, host) would dominate the suite's
+    runtime and memory.
     """
     params = params or TopologyParams()
     if params.n_cores % params.spines_per_pod != 0 and params.n_pods > 1:

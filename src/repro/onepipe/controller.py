@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
+from repro.net.routing import clear_routes, compute_routes
 from repro.net.rpc import Directory
 from repro.net.topology import Topology
 from repro.obs.registry import GLOBAL_METRICS
@@ -392,8 +393,6 @@ class Controller:
         self._report_engines = {}
 
     def _reroute(self) -> None:
-        from repro.net.routing import clear_routes, compute_routes
-
         clear_routes(self.topology.graph)
         alive_hosts = [
             host

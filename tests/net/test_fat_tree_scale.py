@@ -15,14 +15,10 @@ import pytest
 from repro.bench.scalebench import fat_tree_params
 from repro.net import Packet, PacketKind, build_fat_tree
 from repro.net.nic import Host
-from repro.net.routing import (
-    _reverse_bfs_distances,
-    check_switch_dag,
-    clear_routes,
-    compute_routes,
-)
+from repro.net.routing import check_switch_dag, clear_routes, compute_routes
 from repro.net.switch import Switch
 from repro.sim import Simulator
+from tests.reference import reverse_bfs_distances
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +37,7 @@ def assert_routes_descend_distance(topo, sample_hosts):
     graph = topo.graph
     for host in sample_hosts:
         dst = host.node_id
-        dist = _reverse_bfs_distances(graph, dst)
+        dist = reverse_bfs_distances(graph, dst)
         for switch in topo.switches.values():
             candidates = switch.routes.get(dst)
             if not candidates:
