@@ -102,9 +102,12 @@ def _step_pod(
     pod = state.pod
     hot_pods = config.hot_pods
     remote_pods = [p for p in hot_pods + config.cold_pods if p != pod]
-    randint, randrange, choice = (
-        state.rng.randint, state.rng.randrange, state.rng.choice
-    )
+    # The three draws per flow are ``Random.randint``, ``randrange`` and
+    # ``choice`` with their Python frames removed: each is CPython's
+    # ``_randbelow`` — ``getrandbits(n.bit_length())``, redrawn while
+    # ``>= n`` — so the stream position after every draw is the same
+    # (tests/hybrid/test_sharding.py pins the equivalence).
+    getrandbits = state.rng.getrandbits
 
     in_flows = len(inbox)
     in_bytes = sum(size for _kind, _src, size in inbox)
@@ -116,16 +119,31 @@ def _step_pod(
     size_lo, size_hi = config.mean_flow_bytes // 2, config.mean_flow_bytes * 2
     window_cap = config.host_window_bytes()
     local_pct = config.local_fraction_pct
+    size_span = size_hi - size_lo + 1
+    size_bits = size_span.bit_length()
+    n_remote = len(remote_pods)
+    remote_bits = n_remote.bit_length()
+    if not n_remote and local_pct < 100:
+        raise IndexError("a remote flow needs another pod to address")
     for _ in range(config.flows_per_window):
         # A flow offers at most its host link's window share this window
         # (bigger flows show up as sustained demand across redraws).
-        size = min(randint(size_lo, size_hi), window_cap)
-        if randrange(100) < local_pct:
+        r = getrandbits(size_bits)  # randint(size_lo, size_hi)
+        while r >= size_span:
+            r = getrandbits(size_bits)
+        size = min(size_lo + r, window_cap)
+        r = getrandbits(7)  # randrange(100)
+        while r >= 100:
+            r = getrandbits(7)
+        if r < local_pct:
             local_flows += 1
             continue
         # Remote: uniformly any other pod; hot destinations feed the
         # island's core-degradation schedule instead of the event plane.
-        dst = choice(remote_pods)
+        r = getrandbits(remote_bits)  # choice(remote_pods)
+        while r >= n_remote:
+            r = getrandbits(remote_bits)
+        dst = remote_pods[r]
         if dst in hot_pods:
             to_hot_bytes += size
         else:

@@ -76,21 +76,21 @@ class Link:
 
     # Links are the hottest objects of a fat-tree run (every beacon and
     # data packet does a dozen attribute operations per hop); __slots__
-    # turns those into fixed-offset loads.  ``_ord_slots`` and
-    # ``_cpu_buf`` belong to the ordering engines (interned barrier
-    # slots, switch-CPU coalescing buffer) but must be declared here.
+    # turns those into fixed-offset loads.  ``_ingress`` and
+    # ``_cpu_buf`` belong to the ordering engines (bound ingress record,
+    # switch-CPU coalescing buffer) but must be declared here.
     __slots__ = (
         "sim", "name", "src", "dst", "bytes_per_ns", "bandwidth_gbps",
         "prop_delay_ns", "queue_capacity_bytes", "ecn_threshold_bytes",
         "loss_rate", "_rng", "_burst", "_burst_bad", "_burst_rng",
         "degraded_bandwidth_factor", "degraded_extra_delay_ns", "up",
-        "drop_filter", "_busy_until", "_backlog_bytes", "_backlog_fifo",
-        "_deliver_cb", "_beacon_ser_ns", "last_tx_time", "last_data_tx",
-        "tx_packets", "tx_bytes", "dropped_overflow", "dropped_corruption",
+        "_drop_filter", "_busy_until", "_backlog_bytes", "_backlog_fifo",
+        "_deliver_cb", "_beacon_ser_ns", "_last_tx_time", "last_data_tx",
+        "_tx_packets", "_tx_bytes", "dropped_overflow", "dropped_corruption",
         "dropped_burst", "dropped_down", "ecn_marked", "_metrics",
         "_m_tx_packets", "_m_tx_bytes", "_m_drop_overflow",
         "_m_drop_corruption", "_m_drop_burst", "_m_drop_down", "_m_ecn",
-        "_ord_slots", "_cpu_buf", "internal", "_beacon_fast",
+        "_ingress", "_cpu_buf", "internal", "_beacon_fast", "_clean",
     )
 
     def __init__(
@@ -133,8 +133,13 @@ class Link:
         self.degraded_extra_delay_ns = 0
         self.up = True
         # Optional selective drop predicate (failure injection in tests:
-        # e.g. drop only data packets while letting beacons through).
-        self.drop_filter = None
+        # e.g. drop only data packets while letting beacons through);
+        # assigned through the ``drop_filter`` property.
+        self._drop_filter = None
+        # Maintained conjunction "delivery cannot drop here": up, no
+        # burst chain, no loss stream, no filter.  The analytic fabric's
+        # ingress reads this one flag instead of the four conditions.
+        self._clean = self._rng is None
 
         self._busy_until = 0  # when the last queued packet finishes serializing
         self._backlog_bytes = 0  # bytes queued but not yet fully serialized
@@ -150,7 +155,10 @@ class Link:
         # the same wire size, so their serialization time is precomputed
         # (recomputed when degradation changes the rate).
         self._beacon_ser_ns = int(BEACON_BYTES / self.bytes_per_ns)
-        self.last_tx_time = 0  # last time a packet was enqueued (beacon logic)
+        # Last time a packet was enqueued (beacon logic).  Read through
+        # the ``last_tx_time`` view, like the two tx counters below: a
+        # lockstep source node (Node._lockstep) may owe this link waves.
+        self._last_tx_time = 0
         # Last non-beacon enqueue: data packets carry fresh barriers in
         # the programmable-chip incarnation, so links busy with data do
         # not need beacons even if a beacon was just relayed on them.
@@ -164,8 +172,8 @@ class Link:
         ) and (ecn_threshold_bytes is None or ecn_threshold_bytes >= 0)
 
         # Statistics.
-        self.tx_packets = 0
-        self.tx_bytes = 0
+        self._tx_packets = 0
+        self._tx_bytes = 0
         self.dropped_overflow = 0
         self.dropped_corruption = 0
         self.dropped_burst = 0
@@ -183,7 +191,7 @@ class Link:
         self._m_ecn = metrics.counter("link.ecn_marked")
         # Engine-owned state (see __slots__): None until an ordering
         # engine attaches this link.
-        self._ord_slots = None
+        self._ingress = None
         self._cpu_buf = None
         # Set by Topology.add_link: an internal up<->down pairing link
         # inside one physical switch (zero forwarding delay).
@@ -197,6 +205,7 @@ class Link:
         self.loss_rate = loss_rate
         if loss_rate > 0 and self._rng is None:
             self._rng = self.sim.rng(f"link.loss.{self.name}")
+            self._clean = False
 
     def set_burst_loss(
         self,
@@ -222,6 +231,7 @@ class Link:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{label} out of range: {p}")
         self._burst = (p_good_to_bad, p_bad_to_good, loss_good, loss_bad)
+        self._clean = False
         if self._burst_rng is None:
             self._burst_rng = self.sim.rng(f"link.burst.{self.name}")
 
@@ -229,6 +239,7 @@ class Link:
         """Disable burst loss and reset the chain to the good state."""
         self._burst = None
         self._burst_bad = False
+        self._refresh_clean()
 
     @property
     def burst_state_bad(self) -> bool:
@@ -252,6 +263,7 @@ class Link:
             )
         if extra_delay_ns < 0:
             raise ValueError(f"negative extra delay: {extra_delay_ns}")
+        self._unlock_src()  # owed waves settle at the old beacon rate
         self.degraded_bandwidth_factor = float(bandwidth_factor)
         self.degraded_extra_delay_ns = int(extra_delay_ns)
         self._beacon_ser_ns = int(
@@ -259,6 +271,7 @@ class Link:
         )
 
     def clear_degradation(self) -> None:
+        self._unlock_src()
         self.degraded_bandwidth_factor = 1.0
         self.degraded_extra_delay_ns = 0
         self._beacon_ser_ns = int(BEACON_BYTES / self.bytes_per_ns)
@@ -272,10 +285,61 @@ class Link:
 
     def fail(self) -> None:
         """Take the link down: subsequent sends are silently discarded."""
+        self._unlock_src()  # a down link drops at enqueue: not lockstep
         self.up = False
+        self._clean = False
 
     def recover(self) -> None:
         self.up = True
+        self._refresh_clean()
+
+    @property
+    def drop_filter(self):
+        return self._drop_filter
+
+    @drop_filter.setter
+    def drop_filter(self, predicate) -> None:
+        self._unlock_src()  # a filtered link is sent real packets
+        self._drop_filter = predicate
+        self._refresh_clean()
+
+    def _refresh_clean(self) -> None:
+        self._clean = (
+            self.up
+            and self._burst is None
+            and self._rng is None
+            and self._drop_filter is None
+        )
+
+    # ------------------------------------------------------------------
+    # Lockstep egress (repro.onepipe.analytic): while the source node is
+    # locked, this link's send accounting is owed, not written.  Every
+    # reader or writer of that state below first settles or unlocks.
+    # ------------------------------------------------------------------
+    def _unlock_src(self) -> None:
+        lock = self.src._lockstep
+        if lock is not None:
+            lock.unlock()
+
+    def _settle_src(self) -> None:
+        lock = self.src._lockstep
+        if lock is not None:
+            lock.settle()
+
+    @property
+    def last_tx_time(self) -> int:
+        self._settle_src()
+        return self._last_tx_time
+
+    @property
+    def tx_packets(self) -> int:
+        self._settle_src()
+        return self._tx_packets
+
+    @property
+    def tx_bytes(self) -> int:
+        self._settle_src()
+        return self._tx_bytes
 
     def _drain_backlog(self, now: int) -> None:
         """Retire backlog entries whose serialization has finished."""
@@ -288,6 +352,9 @@ class Link:
     @property
     def queue_bytes(self) -> int:
         """Current backlog (for tests and ECN diagnostics)."""
+        # Draining can retire the one serialized beacon the lockstep
+        # shape stands on, so settling is not enough: unlock.
+        self._unlock_src()
         if self._backlog_fifo:
             self._drain_backlog(self.sim.now)
         return self._backlog_bytes
@@ -305,7 +372,10 @@ class Link:
         """
         sim = self.sim
         now = sim.now
-        self.last_tx_time = now
+        src = self.src
+        if src._lockstep is not None:
+            src._lockstep.unlock()  # a real packet joins the queue
+        self._last_tx_time = now
         if packet.kind == _BEACON_KIND:
             # Fast path: beacons all share one wire size, so the
             # serialization time is the precomputed per-link constant.
@@ -316,7 +386,7 @@ class Link:
             # Per-node ceiling over last_data_tx of its outgoing links;
             # lets ordering engines skip the idle-link scan entirely
             # when the whole switch has been data-silent long enough.
-            self.src._data_ceiling = now
+            src._data_ceiling = now
             size = packet.payload_bytes + HEADER_OVERHEAD_BYTES
             serialization = int(
                 size / (self.bytes_per_ns * self.degraded_bandwidth_factor)
@@ -355,8 +425,8 @@ class Link:
         self._busy_until = done_serializing
         self._backlog_bytes = backlog + size
         fifo.append((done_serializing, size))
-        self.tx_packets += 1
-        self.tx_bytes += size
+        self._tx_packets += 1
+        self._tx_bytes += size
         if self._metrics.enabled:
             self._m_tx_packets.add()
             self._m_tx_bytes.add(size)
@@ -397,7 +467,7 @@ class Link:
             if self._metrics.enabled:
                 self._m_drop_corruption.add()
             return
-        if self.drop_filter is not None and self.drop_filter(packet):
+        if self._drop_filter is not None and self._drop_filter(packet):
             self.dropped_corruption += 1
             if self._metrics.enabled:
                 self._m_drop_corruption.add()

@@ -49,11 +49,19 @@ class Node:
         # by Link.send on every data enqueue.  Ordering engines use it
         # to prove "no recent data on any output link" without scanning.
         self._data_ceiling = 0
+        # Wave-granular beacon egress (repro.onepipe.analytic): while
+        # every out-link advances in lockstep the fabric parks a record
+        # here that owes them their per-link send accounting.  Whatever
+        # is about to read or disturb that state calls its ``settle()``
+        # or ``unlock()`` first (Link does; see its lockstep section).
+        self._lockstep = None
 
     def attach_in_link(self, link: Link) -> None:
         self.in_links.append(link)
 
     def attach_out_link(self, link: Link) -> None:
+        if self._lockstep is not None:
+            self._lockstep.unlock()  # the record covers the old fleet
         self.out_links.append(link)
 
     def receive(self, packet: Packet, in_link: Link) -> None:

@@ -101,10 +101,12 @@ class _OrderingEngineBase:
         self._cascade_pending = False
         # Analytic-fabric fast-path flag: True only while this is a
         # plain chip engine with no dead links and no pending registers
-        # (the steady state).  Cleared — conservatively, and never
-        # re-set — by every path that can create dead/pending state
-        # (_scan_liveness, rejoin_link, controller demotions); False
-        # just routes the fabric through the exact slow path.
+        # (the steady state), where "no relay pending" implies "minima
+        # ≤ emitted pair".  Cleared — conservatively, and never re-set
+        # — by every path that can create dead/pending state or break
+        # that implication (_scan_liveness, rejoin_link, controller
+        # demotions, a relay swallowed by a crashed switch); False just
+        # routes the fabric through the exact slow path.
         self._fp = type(self) is ProgrammableChipEngine
         # Gray-failure straggler knob: >1.0 slows this switch's beacon
         # processing (CPU incarnations) or forwarding pipeline (chip).
@@ -133,13 +135,7 @@ class _OrderingEngineBase:
             self.be.add_link(link)
             self.commit.add_link(link)
             self._last_rx[link] = self.sim.now
-            # Cached interned slots for the per-packet hot path.  A link
-            # has exactly one destination engine, so hanging the slots
-            # off the link is safe; refreshed on rejoin (fresh slots).
-            link._ord_slots = (
-                self.be.slot_of(link),
-                self.commit.slot_of(link),
-            )
+            self._bind_ingress(link)
         # Tick half an interval out of phase with the synchronized host
         # beacons: beacon waves (which arrive just after each host tick)
         # are relayed by the cascade, and the periodic tick only emits
@@ -148,6 +144,21 @@ class _OrderingEngineBase:
             self.config.beacon_interval_ns,
             self._tick,
             phase=self.config.beacon_interval_ns // 2,
+        )
+
+    def _bind_ingress(self, link: Link) -> None:
+        """Bind the in-link's ingress record: everything the per-packet
+        and per-beacon hot paths would otherwise chase through this
+        engine, in one tuple — both interned slots first (``on_packet``
+        indexes them), then this engine, both register files and their
+        value lists.  A link has exactly one destination engine, so
+        hanging the record off the link is safe; re-bound on rejoin
+        (fresh slots)."""
+        be = self.be
+        commit = self.commit
+        link._ingress = (
+            be.slot_of(link), commit.slot_of(link), self,
+            be, commit, be._values, commit._values,
         )
 
     def detach(self) -> None:
@@ -257,11 +268,7 @@ class _OrderingEngineBase:
             # Resume skips links no longer dead.  Demote to pending so
             # it only counts again once it has caught up.
             self.commit.demote_link(link)
-        # A re-joined link gets fresh slots; refresh the hot-path cache.
-        link._ord_slots = (
-            self.be.slot_of(link),
-            self.commit.slot_of(link),
-        )
+        self._bind_ingress(link)
 
     # ------------------------------------------------------------------
     def _emit_beacon(self, out_link: Link) -> None:
@@ -382,6 +389,12 @@ class _OrderingEngineBase:
     def _cascade_fire(self) -> None:
         self._cascade_pending = False
         if self.switch is None or self.switch.failed:
+            # The relay this wave was owed never happens, so the minima
+            # can now sit above the emitted pair with no relay pending —
+            # the one state the fabric's fast ingress (which re-checks
+            # the trigger only when a minimum's last holder retires)
+            # must never meet.
+            self._fp = False
             return
         be_min = self.be._min_cache
         self._emitted_be = (
@@ -420,7 +433,7 @@ class ProgrammableChipEngine(_OrderingEngineBase):
         # links fed to the engine without attach fall back to id lookup.
         be = self.be
         commit = self.commit
-        slots = getattr(in_link, "_ord_slots", None)
+        slots = getattr(in_link, "_ingress", None)
         if slots is not None:
             be.update_slot(slots[0], packet.barrier_ts)
             commit.update_slot(slots[1], packet.commit_ts)
@@ -472,7 +485,7 @@ class ProgrammableChipEngine(_OrderingEngineBase):
             self.rejoin_link(in_link)
         be = self.be
         commit = self.commit
-        slots = in_link._ord_slots
+        slots = in_link._ingress
         be.update_slot(slots[0], be_ts)
         commit.update_slot(slots[1], commit_ts)
         be_min = be._min_cache

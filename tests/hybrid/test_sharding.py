@@ -140,3 +140,66 @@ class TestColdFabricSharding:
             for record in records:
                 for key, value in record.items():
                     assert isinstance(value, int), (key, value)
+
+    # _step_pod draws with getrandbits rejection loops in place of
+    # randint / randrange / choice (three Python frames per draw).  The
+    # stream is only the same while CPython's Random._randbelow is that
+    # loop, so pin the equivalence: 10 k flows per shape, the shapes
+    # covering spans at, just below and just above a power of two and
+    # the one-remote-pod case (bit_length 1, every draw accepted or
+    # redrawn on a single bit).
+    @pytest.mark.parametrize(
+        "mean_flow_bytes,cold_pods,local_pct",
+        [
+            # (size span, remote pods): one hot pod plus the other colds
+            (4096, tuple(range(1, 16)), 70),   # 6145, 15
+            (682, (1, 2, 3), 0),               # 1024 = 2**10, 3
+            (683, (1, 2), 30),                 # 1026, 2
+            (1, (1,), 50),                     # 3, 1
+            (0, tuple(range(1, 9)), 99),       # 1, 8 = 2**3
+        ],
+    )
+    def test_inlined_draws_equal_the_random_module(
+        self, mean_flow_bytes, cold_pods, local_pct
+    ):
+        from dataclasses import replace
+
+        from repro.hybrid.fabric import _init_pod, _step_pod
+
+        flows = 10_000
+        config = replace(
+            self.CONFIG,
+            mean_flow_bytes=mean_flow_bytes,
+            cold_pods=cold_pods,
+            hot_pods=(0,),
+            local_fraction_pct=local_pct,
+            flows_per_window=flows,
+        )
+        pod = cold_pods[0]
+        state = _init_pod(config, 1068, pod)
+        reference = _init_pod(config, 1068, pod).rng
+        assert reference is not state.rng
+        output, outbox = _step_pod(state, 0, [])
+
+        remote_pods = [p for p in (0,) + cold_pods if p != pod]
+        size_lo, size_hi = mean_flow_bytes // 2, mean_flow_bytes * 2
+        cap = config.host_window_bytes()
+        local = to_hot = 0
+        expected_outbox = []
+        for _ in range(flows):
+            size = min(reference.randint(size_lo, size_hi), cap)
+            if reference.randrange(100) < local_pct:
+                local += 1
+                continue
+            dst = reference.choice(remote_pods)
+            if dst == 0:
+                to_hot += size
+            else:
+                expected_outbox.append((dst, ("flow", pod, size)))
+        assert output["local_flows"] == local
+        assert output["to_hot_bytes"] == to_hot
+        assert outbox == expected_outbox
+        # Same number of words consumed: the next window starts where
+        # randint / randrange / choice would have left the stream.
+        assert state.rng.getstate() == reference.getstate()
+        assert 0 < local < flows or local_pct in (0, 100)
