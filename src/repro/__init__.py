@@ -23,7 +23,8 @@ Sub-packages:
 - :mod:`repro.onepipe` — the 1Pipe protocol (the paper's contribution)
 - :mod:`repro.baselines` — total-order broadcast baselines
 - :mod:`repro.apps` — the paper's application studies
-- :mod:`repro.bench` — benchmark harness
+- :mod:`repro.bench` — harness of the per-figure ``benchmarks/``
+  (simulator performance is measured from outside, by ``perf/``)
 """
 
 from repro.onepipe import Message, OnePipeCluster, OnePipeConfig, OnePipeEndpoint

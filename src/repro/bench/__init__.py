@@ -1,5 +1,4 @@
-"""Benchmark harness shared by the per-figure benchmarks, plus the
-kernel hot-path micro/macro suite (``python -m repro.cli bench``)."""
+"""Benchmark harness shared by the per-figure benchmarks."""
 
 from repro.bench.harness import (
     LatencyProbe,
@@ -8,23 +7,11 @@ from repro.bench.harness import (
     print_table,
     save_results,
 )
-from repro.bench.microbench import (
-    BENCHMARKS,
-    check_against,
-    load_bench,
-    run_suite,
-    write_bench,
-)
 
 __all__ = [
-    "BENCHMARKS",
     "LatencyProbe",
     "Series",
-    "check_against",
     "closed_loop",
-    "load_bench",
     "print_table",
-    "run_suite",
     "save_results",
-    "write_bench",
 ]

@@ -272,56 +272,6 @@ def cmd_observe(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.bench.microbench import (
-        INFO_MARKER,
-        STALE_MARKER,
-        SUITE_OUT,
-        check_against,
-        load_bench,
-        run_suite,
-        suite_registry,
-        write_bench,
-    )
-
-    def progress(result):
-        rates = "  ".join(
-            f"{name}={value:,.0f}" for name, value in result.rates.items()
-        )
-        print(f"{result.name:18s} wall={result.wall_s:8.3f}s  {rates}")
-
-    if args.list:
-        for name in suite_registry(args.suite):
-            print(name)
-        return 0
-    payload = run_suite(
-        seed=args.seed, scale=args.scale, only=args.only or None,
-        progress=progress, suite=args.suite,
-    )
-    path = write_bench(payload, args.out or SUITE_OUT[args.suite])
-    print(f"wrote {path}")
-    if args.check:
-        problems = check_against(
-            payload, load_bench(args.check), tolerance=args.tolerance
-        )
-        # Stale-baseline findings (current run *faster* than the
-        # baseline) are warnings, not failures: a faster machine is
-        # indistinguishable from a faster kernel.  Findings on
-        # informational benchmarks (the MODE_BFT overhead point) chart
-        # a cost, they are not a regression gate.
-        warn = lambda p: STALE_MARKER in p or INFO_MARKER in p
-        failures = [p for p in problems if not warn(p)]
-        for problem in problems:
-            if warn(problem):
-                print(f"BENCH CHECK WARNING: {problem}", file=sys.stderr)
-            else:
-                print(f"BENCH CHECK FAILED: {problem}", file=sys.stderr)
-        if failures:
-            return 1
-        print(f"bench check against {args.check}: ok")
-    return 0
-
-
 def cmd_hyperscale(args) -> int:
     from dataclasses import replace
 
@@ -573,31 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "byte-identical for any job count)")
     chaos.add_argument("--out", default="results/chaos_campaign.json")
 
-    bench = sub.add_parser(
-        "bench", help="kernel hot-path micro/macro benchmark suite"
-    )
-    bench.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="suite seed (overrides the global --seed)")
-    bench.add_argument("--suite", default="core",
-                       choices=["core", "scale", "hyperscale"],
-                       help="core: kernel hot-path micro/macro benchmarks; "
-                            "scale: paper-scale fat-tree end-to-end runs; "
-                            "hyperscale: hybrid-fidelity k=8..k=32 runs")
-    bench.add_argument("--scale", type=float, default=1.0,
-                       help="work multiplier (0.05 for a CI smoke run)")
-    bench.add_argument("--out", default=None,
-                       help="where to write the suite report "
-                            "(default: BENCH_<suite>.json)")
-    bench.add_argument("--only", action="append", default=None,
-                       metavar="NAME", help="run a subset (repeatable)")
-    bench.add_argument("--check", default=None, metavar="BASELINE",
-                       help="compare against a committed baseline report; "
-                            "exit 1 on schema drift or rate regression")
-    bench.add_argument("--tolerance", type=float, default=2.0,
-                       help="allowed slowdown factor for --check rates")
-    bench.add_argument("--list", action="store_true",
-                       help="list benchmark names and exit")
-
     observe = sub.add_parser(
         "observe", help="instrumented run: metrics report + Chrome trace"
     )
@@ -727,7 +652,6 @@ COMMANDS = {
     "snapshot": cmd_snapshot,
     "chaos": cmd_chaos,
     "observe": cmd_observe,
-    "bench": cmd_bench,
     "verify": cmd_verify,
     "workload": cmd_workload,
     "hyperscale": cmd_hyperscale,

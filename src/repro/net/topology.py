@@ -204,8 +204,8 @@ class FatTreeDescriptor:
 def fat_tree_descriptor(k: int, hosts_per_tor: int = 0) -> FatTreeDescriptor:
     """Descriptor for a classic k-ary fat-tree (k pods, (k/2)^2 cores,
     k/2 ToR + k/2 spine switches per pod, ``hosts_per_tor`` defaulting
-    to the canonical k/2).  Mirrors ``repro.bench.scalebench
-    .fat_tree_params`` without importing the bench layer."""
+    to the canonical k/2; another value gives the half/double-density
+    variants).  ``.params`` feeds :func:`build_fat_tree`."""
     if k < 2 or k % 2:
         raise ValueError(f"fat-tree k must be even and >= 2: {k}")
     radix = k // 2

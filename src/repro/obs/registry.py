@@ -24,8 +24,8 @@ independent components can contribute to one aggregate series.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
+from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 __all__ = [
@@ -138,9 +138,13 @@ class BucketHistogram:
             raise ValueError(f"quantile out of range: {q}")
         if self.count == 0:
             return None
+        # repro.sim imports this module, so the import cannot be at the top.
+        from repro.sim.stats import nearest_rank
+
         # Nearest-rank over bucket counts: the smallest bound whose
-        # cumulative count covers ceil(q * count) observations.
-        rank = max(1, math.ceil(q * self.count))
+        # cumulative count covers the rank, taken from the decimal
+        # value of q (binary 0.55 * 100 is 55.00000000000001).
+        rank = nearest_rank(Fraction(str(q)) * 100, self.count)
         seen = 0
         for i, c in enumerate(self.counts):
             seen += c

@@ -560,7 +560,8 @@ class BeaconFabric:
                     # Plain switch / agent-less host — beacon dropped,
                     # exactly like the packet handlers.
                     continue
-                # HostAgent.virtual_beacon, inlined.
+                # HostAgent._ingress's beacon branch, inlined (the
+                # fabric never runs under MODE_BFT: no MAC to verify).
                 loss_rng = agent._loss_rng
                 if (
                     loss_rng is not None

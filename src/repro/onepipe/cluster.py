@@ -91,8 +91,7 @@ class OnePipeCluster:
                     f"placement names {len(placement)} hosts for "
                     f"{n_processes} processes"
                 )
-            by_id = {host.node_id: host for host in self.topology.hosts}
-            placed = [by_id[node_id] for node_id in placement]
+            placed = [self.topology.host_by_id(name) for name in placement]
         else:
             placed = self.topology.assign_hosts(n_processes)
         for proc_id, host in enumerate(placed):
@@ -148,9 +147,11 @@ class OnePipeCluster:
         return endpoint
 
     def set_receiver_loss_rate(self, rate: float) -> None:
-        """Drop data packets at every receiving host agent with the given
-        probability (the paper's loss-injection methodology, §7.2:
-        beacons and link liveness are unaffected)."""
+        """Drop data packets and beacons at every receiving host agent
+        with the given probability (the paper's loss-injection
+        methodology, §7.2).  A lost beacon stalls that receiver's
+        barrier until the next one (the Fig. 9b mechanism); ACKs,
+        control packets and switch liveness timers are unaffected."""
         for agent in self.agents.values():
             agent.set_receiver_loss_rate(rate)
 

@@ -52,7 +52,7 @@ class OnePipeConfig:
     # Deliver best-effort and reliable messages as one merged total order
     # (gating best-effort messages behind uncommitted reliable messages
     # with smaller timestamps).  Independent planes are only useful for
-    # microbenchmarks of a single service.
+    # measuring a single service in isolation.
     strict_merge: bool = True
 
     # --- control plane ----------------------------------------------------

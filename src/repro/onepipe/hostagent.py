@@ -406,23 +406,6 @@ class HostAgent:
         beacon = self._beacon_pool.acquire()  # src/dst -1 (node-level)
         self.host.send_packet(beacon)  # egress hook stamps the barriers
 
-    def virtual_beacon(self, be_barrier: int, commit_barrier: int,
-                       sent_at: int) -> None:
-        """Fabric ingress: ``_ingress``'s beacon branch for a beacon
-        that travelled virtually (the fabric never runs under MODE_BFT,
-        so there is no MAC to verify)."""
-        if (
-            self._loss_rng is not None
-            and self._loss_rng.random() < self.receiver_loss_rate
-        ):
-            self.receiver_drops += 1
-            if self._metrics.enabled:
-                self._m_rx_drops.add()
-            return
-        if self._metrics.enabled:
-            self._m_beacon_hop.observe(self.sim.now - sent_at)
-        self._update_barriers(be_barrier, commit_barrier)
-
     # ------------------------------------------------------------------
     # Failure handling, host side (§5.2)
     # ------------------------------------------------------------------

@@ -271,9 +271,6 @@ class _OrderingEngineBase:
         self._bind_ingress(link)
 
     # ------------------------------------------------------------------
-    def _emit_beacon(self, out_link: Link) -> None:
-        self._emit_beacons((out_link,))
-
     def _emit_beacons(self, out_links) -> None:
         """Emit one beacon per output link, coalesced into a single event.
 
@@ -409,7 +406,30 @@ class _OrderingEngineBase:
             self._emit_beacons(needs)
 
     def _tick(self) -> None:
-        raise NotImplementedError
+        # Keep-alive: links silent for a full interval (no data, no
+        # cascade beacons — e.g. the barrier is stalled by a dead input)
+        # still get a beacon carrying the stale minimum, so downstream
+        # liveness timers stay calm while the barrier cannot advance.
+        if self.switch is None or self.switch.failed:
+            return
+        now = self.sim.now
+        if now - self._rx_floor > self._dead_timeout:
+            # Only pay the liveness-scan call when the floor cannot
+            # prove the scan would be a no-op (same guard it re-checks).
+            self._scan_liveness()
+        interval = self.config.beacon_interval_ns
+        if now - self._tx_floor >= interval:
+            floor = now
+            idle = []
+            for link in self.switch.out_links:
+                last = link.last_tx_time
+                if now - last >= interval:
+                    idle.append(link)
+                if last < floor:
+                    floor = last
+            self._tx_floor = floor
+            if idle:
+                self._emit_beacons(idle)
 
     def on_packet(self, packet: Packet, in_link: Link) -> bool:
         raise NotImplementedError
@@ -527,31 +547,6 @@ class ProgrammableChipEngine(_OrderingEngineBase):
             if now - link.last_data_tx >= half
         ]
 
-    def _tick(self) -> None:
-        # Keep-alive: links silent for a full interval (no data, no
-        # cascade beacons — e.g. the barrier is stalled by a dead input)
-        # still get a beacon so downstream liveness timers stay calm.
-        if self.switch is None or self.switch.failed:
-            return
-        now = self.sim.now
-        if now - self._rx_floor > self._dead_timeout:
-            # Only pay the liveness-scan call when the floor cannot
-            # prove the scan would be a no-op (same guard it re-checks).
-            self._scan_liveness()
-        interval = self.config.beacon_interval_ns
-        if now - self._tx_floor >= interval:
-            floor = now
-            idle = []
-            for link in self.switch.out_links:
-                last = link.last_tx_time
-                if now - last >= interval:
-                    idle.append(link)
-                if last < floor:
-                    floor = last
-            self._tx_floor = floor
-            if idle:
-                self._emit_beacons(idle)
-
 
 class SwitchCpuEngine(_OrderingEngineBase):
     """Beacon-only aggregation on the switch CPU (§6.2.2).
@@ -662,31 +657,6 @@ class SwitchCpuEngine(_OrderingEngineBase):
         # the live list (callers only iterate it); the identity also
         # lets _send_beacons recognize a full-fleet emission.
         return self.switch.out_links
-
-    def _tick(self) -> None:
-        # Keep-alive when the wave is stalled (no cascade for a full
-        # interval): re-emit the stale minimum so downstream liveness
-        # timers stay calm while the barrier value itself cannot advance.
-        if self.switch is None or self.switch.failed:
-            return
-        now = self.sim.now
-        if now - self._rx_floor > self._dead_timeout:
-            # Only pay the liveness-scan call when the floor cannot
-            # prove the scan would be a no-op (same guard it re-checks).
-            self._scan_liveness()
-        interval = self.config.beacon_interval_ns
-        if now - self._tx_floor >= interval:
-            floor = now
-            idle = []
-            for link in self.switch.out_links:
-                last = link.last_tx_time
-                if now - last >= interval:
-                    idle.append(link)
-                if last < floor:
-                    floor = last
-            self._tx_floor = floor
-            if idle:
-                self._emit_beacons(idle)
 
 
 class HostDelegationEngine(SwitchCpuEngine):

@@ -5,8 +5,17 @@ import os
 
 import pytest
 
+import repro.bench
 from repro.bench import LatencyProbe, Series, closed_loop, print_table, save_results
 from repro.sim import Future, Simulator
+
+
+def test_package_is_exactly_the_figure_harness():
+    """Performance numbers come from perf/ (BENCHMARK.json); this
+    package only serves the per-figure benchmarks."""
+    assert sorted(repro.bench.__all__) == [
+        "LatencyProbe", "Series", "closed_loop", "print_table", "save_results",
+    ]
 
 
 class TestSeries:

@@ -10,8 +10,7 @@ message — and the controller evicts the whole cluster one grace window
 later.  Only DATA/RDATA may feed the sentinel.
 """
 
-from repro.bench.scalebench import fat_tree_params
-from repro.net.topology import build_fat_tree
+from repro.net.topology import build_fat_tree, fat_tree_descriptor
 from repro.onepipe.cluster import OnePipeCluster
 from repro.onepipe.config import MODE_BFT, OnePipeConfig
 from repro.sim import Simulator
@@ -19,7 +18,7 @@ from repro.sim import Simulator
 
 def test_bft_acks_do_not_trigger_accusations():
     sim = Simulator(seed=21)
-    topo = build_fat_tree(sim, fat_tree_params(4, hosts_per_tor=2))
+    topo = build_fat_tree(sim, fat_tree_descriptor(4, hosts_per_tor=2).params)
     cluster = OnePipeCluster(
         sim, n_processes=8, config=OnePipeConfig(mode=MODE_BFT),
         topology=topo,

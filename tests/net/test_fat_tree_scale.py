@@ -12,11 +12,11 @@ before and after a failure-driven route recompute.
 import networkx as nx
 import pytest
 
-from repro.bench.scalebench import fat_tree_params
 from repro.net import Packet, PacketKind, build_fat_tree
 from repro.net.nic import Host
 from repro.net.routing import check_switch_dag, clear_routes, compute_routes
 from repro.net.switch import Switch
+from repro.net.topology import fat_tree_descriptor
 from repro.sim import Simulator
 from tests.reference import reverse_bfs_distances
 
@@ -24,7 +24,7 @@ from tests.reference import reverse_bfs_distances
 @pytest.fixture(scope="module")
 def k8_topo():
     """One k=8 / 128-host fat-tree shared by the structural checks."""
-    return build_fat_tree(Simulator(seed=1), fat_tree_params(8))
+    return build_fat_tree(Simulator(seed=1), fat_tree_descriptor(8).params)
 
 
 def assert_routes_descend_distance(topo, sample_hosts):
@@ -59,14 +59,14 @@ class TestK8Geometry:
         assert len(k8_topo.switches) == 8 * (4 + 4) * 2 + 16
 
     def test_k4_variants_match_scaling_curve(self):
-        assert fat_tree_params(4).n_hosts == 16
-        assert fat_tree_params(4, hosts_per_tor=4).n_hosts == 32
-        assert fat_tree_params(8, hosts_per_tor=2).n_hosts == 64
-        assert fat_tree_params(8).n_hosts == 128
+        assert fat_tree_descriptor(4).n_hosts == 16
+        assert fat_tree_descriptor(4, hosts_per_tor=4).n_hosts == 32
+        assert fat_tree_descriptor(8, hosts_per_tor=2).n_hosts == 64
+        assert fat_tree_descriptor(8).n_hosts == 128
 
     def test_odd_k_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            fat_tree_params(5)
+            fat_tree_descriptor(5)
 
     def test_every_host_wired(self, k8_topo):
         for host in k8_topo.hosts:
@@ -123,7 +123,7 @@ class TestK8Recompute:
     def test_routes_stay_loop_free_after_core_failure(self):
         # The SDN controller recomputes routes around a dead core
         # (paper 3.1); descent must survive the recompute.
-        topo = build_fat_tree(Simulator(seed=2), fat_tree_params(8))
+        topo = build_fat_tree(Simulator(seed=2), fat_tree_descriptor(8).params)
         dead_core = topo.switches["core0"]
         dead_links = set(dead_core.in_links) | set(dead_core.out_links)
         clear_routes(topo.graph)

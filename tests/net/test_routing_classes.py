@@ -13,7 +13,6 @@ from unittest import mock
 
 import pytest
 
-from repro.bench.scalebench import fat_tree_params
 from repro.hybrid.engine import island_params
 from repro.net import build_fat_tree, build_single_rack, build_testbed
 from repro.net import routing
@@ -51,7 +50,7 @@ def k32_island():
 GEOMETRIES = {
     "testbed": lambda: build_testbed(Simulator(seed=1)),
     "single_rack": lambda: build_single_rack(Simulator(seed=1), n_hosts=8)[0],
-    "k8": lambda: build_fat_tree(Simulator(seed=1), fat_tree_params(8)),
+    "k8": lambda: build_fat_tree(Simulator(seed=1), fat_tree_descriptor(8).params),
     "k32_island": k32_island,
 }
 

@@ -70,6 +70,13 @@ class TestBucketHistogram:
         assert h.quantile(0.5) == 10.0   # 2 of 4 samples in bucket <=10
         assert h.quantile(0.75) == 20.0
         assert h.quantile(1.0) == 29.0   # clamped to the observed max
+        # The rank comes from the decimal q: binary 0.55 * 100 is
+        # 55.00000000000001, whose ceil is a full rank high.
+        unit = BucketHistogram("unit", bounds=tuple(range(1, 101)))
+        for v in range(1, 101):
+            unit.observe(v)
+        assert unit.quantile(0.55) == 55.0
+        assert unit.quantile(0.07) == 7.0
 
     def test_quantile_clamped_to_observed_max(self):
         # All samples in one bucket: the quantile must not exceed any

@@ -31,9 +31,8 @@ beacons carry per-packet MACs).
 
 import pytest
 
-from repro.bench.scalebench import fat_tree_params
 from repro.net.packet import PacketKind
-from repro.net.topology import build_fat_tree
+from repro.net.topology import build_fat_tree, fat_tree_descriptor
 from repro.onepipe.cluster import OnePipeCluster
 from repro.onepipe.config import MODE_BFT, MODES, OnePipeConfig
 from repro.sim import Simulator
@@ -49,7 +48,7 @@ def _sorted_links(topo):
 
 def _k4_cluster(seed, mode="chip"):
     sim = Simulator(seed=seed)
-    topo = build_fat_tree(sim, fat_tree_params(4, hosts_per_tor=2))
+    topo = build_fat_tree(sim, fat_tree_descriptor(4, hosts_per_tor=2).params)
     cluster = OnePipeCluster(
         sim, n_processes=8, config=OnePipeConfig(mode=mode), topology=topo
     )

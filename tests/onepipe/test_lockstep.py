@@ -19,10 +19,13 @@ unlocks first.  Three angles:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench.scalebench import fat_tree_params
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
-from repro.net.topology import build_fat_tree, build_single_rack
+from repro.net.topology import (
+    build_fat_tree,
+    build_single_rack,
+    fat_tree_descriptor,
+)
 from repro.onepipe.cluster import OnePipeCluster
 from repro.onepipe.config import MODE_CHIP, MODE_SWITCH_CPU, OnePipeConfig
 from repro.sim import Simulator
@@ -280,7 +283,7 @@ def test_hosts_never_lock():
 
 def test_lockstep_waves_on_clean_k4():
     sim = Simulator(seed=3)
-    topo = build_fat_tree(sim, fat_tree_params(4, hosts_per_tor=2))
+    topo = build_fat_tree(sim, fat_tree_descriptor(4, hosts_per_tor=2).params)
     cluster = OnePipeCluster(sim, n_processes=8, topology=topo)
     sim.run(until=100_000)
     fabric = cluster.fabric
