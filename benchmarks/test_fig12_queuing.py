@@ -40,12 +40,17 @@ def measure(reliable: bool, n_flows: int = 0, oversubscription: float = 1.0):
             flows.append(flow)
             flow.start()
     probe = LatencyProbe(sim)
+
+    def on_recv(m, i):
+        if isinstance(m.payload, tuple) and m.payload[0] == "p":
+            probe.mark_delivered((i, m.payload))
+            if len(probe.latencies) == N_PROBES:
+                # The last number is in; ``until=`` below only bounds a
+                # run that loses a probe.
+                sim.stop()
+
     for i in range(N_PROCS):
-        cluster.endpoint(i).on_recv(
-            lambda m, i=i: probe.mark_delivered((i, m.payload))
-            if isinstance(m.payload, tuple) and m.payload[0] == "p"
-            else None
-        )
+        cluster.endpoint(i).on_recv(lambda m, i=i: on_recv(m, i))
 
     def send(k):
         sender = k % 8

@@ -64,9 +64,6 @@ class LockTable:
     def held(self, key: Hashable) -> bool:
         return key in self._owners
 
-    def queue_length(self, key: Hashable) -> int:
-        return len(self._waiters.get(key, ()))
-
 
 class VersionedStore:
     """Records with monotonically increasing versions (for OCC)."""
@@ -85,10 +82,6 @@ class VersionedStore:
 
     def version(self, key: Hashable) -> int:
         return self._records.get(key, (None, 0))[1]
-
-    def apply_raw(self, key: Hashable, value: Any, version: int) -> None:
-        """Install a replicated write with an explicit version."""
-        self._records[key] = (value, version)
 
     def __len__(self) -> int:
         return len(self._records)

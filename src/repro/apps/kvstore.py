@@ -131,7 +131,7 @@ class OnePipeKVS:
         endpoint = self.cluster.endpoint(initiator)
         if kind == "ro":
             endpoint.unreliable_send(entries)
-            pending.timer = self.sim.schedule_timer(
+            pending.timer = self.sim.schedule(
                 self.ro_retry_timeout_ns, self._ro_timeout, txn_id
             )
         else:

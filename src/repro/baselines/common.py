@@ -90,9 +90,6 @@ class BroadcastGroup:
         raise NotImplementedError
 
     # Utilities ----------------------------------------------------------
-    def member_host(self, index: int) -> str:
-        return self.members[index].host.node_id
-
     def total_delivered(self) -> int:
         return sum(m.delivered_count for m in self.members)
 

@@ -84,10 +84,6 @@ class HostClock:
         self._drift_epoch = self.sim.now
         self._drift_ppm = float(drift_ppm)
 
-    def skew_ns(self) -> float:
-        """Absolute skew from true time (what PTP tries to minimize)."""
-        return abs(self.offset_ns)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<HostClock offset={self.offset_ns:.1f}ns "

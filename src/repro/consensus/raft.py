@@ -147,8 +147,7 @@ class RaftNode:
         timeout = self.election_timeout_ns + self._rng.randrange(
             self.election_timeout_ns
         )
-        # Reset on every heartbeat: the canonical timing-wheel client.
-        self._election_timer = self.sim.schedule_timer(
+        self._election_timer = self.sim.schedule(
             timeout, self._election_timeout
         )
 

@@ -43,10 +43,6 @@ class FailureInjector:
         """
         self.sim.schedule_at(at, self._recover_switch, switch_name)
 
-    def cut_link(self, src_id: str, dst_id: str, at: int) -> None:
-        """Cut one direction of a cable."""
-        self.sim.schedule_at(at, self._cut_link, src_id, dst_id)
-
     def cut_cable(self, a: str, b: str, at: int) -> None:
         """Cut every existing link direction between two nodes.
 
@@ -96,9 +92,6 @@ class FailureInjector:
     def recover_host_cable(self, host_id: str, at: int) -> None:
         self.sim.schedule_at(at, self._recover_host_cable, host_id)
 
-    def recover_host(self, host_id: str, at: int) -> None:
-        self.sim.schedule_at(at, self._recover_host, host_id)
-
     def recover_link(self, src_id: str, dst_id: str, at: int) -> None:
         self.sim.schedule_at(at, self._recover_link, src_id, dst_id)
 
@@ -128,11 +121,6 @@ class FailureInjector:
             raise KeyError(f"no switch named {switch_name}")
         self.log.append((self.sim.now, "recover_switch", switch_name))
 
-    def _cut_link(self, src_id: str, dst_id: str) -> None:
-        link = self.topology.link(src_id, dst_id)
-        link.fail()
-        self.log.append((self.sim.now, "cut_link", link.name))
-
     def _cut_host_cable(self, host_id: str) -> None:
         host = self.topology.host_by_id(host_id)
         host.uplink.fail()
@@ -144,11 +132,6 @@ class FailureInjector:
         host.uplink.recover()
         host.downlink.recover()
         self.log.append((self.sim.now, "recover_host_cable", host_id))
-
-    def _recover_host(self, host_id: str) -> None:
-        host = self.topology.host_by_id(host_id)
-        host.recover()
-        self.log.append((self.sim.now, "recover_host", host_id))
 
     def _recover_link(self, src_id: str, dst_id: str) -> None:
         link = self.topology.link(src_id, dst_id)

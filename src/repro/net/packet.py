@@ -79,7 +79,6 @@ class Packet:
         "sent_at",
         "meta",
         "auth",
-        "_pooled",
     )
 
     def __init__(
@@ -121,7 +120,6 @@ class Packet:
         # MODE_BFT components stamp or verify it; every other mode
         # leaves it at 0 so the fail-stop hot paths are unchanged.
         self.auth = 0
-        self._pooled = False
 
     @property
     def wire_bytes(self) -> int:
@@ -134,105 +132,6 @@ class Packet:
             f"ts={self.msg_ts} barrier={self.barrier_ts} "
             f"commit={self.commit_ts} psn={self.psn}>"
         )
-
-
-# ----------------------------------------------------------------------
-# Beacon free list.  Beacons dominate packet allocation at scale (they
-# are O(hosts x switch ports) per interval, §4.3) and have a trivially
-# poolable lifecycle: created at one node, consumed exactly one hop later
-# by an ordering engine or host agent, never retained.  The consumption
-# points call :meth:`BeaconPool.release`; dropped beacons (failed links,
-# loss injection, engine-less switches) simply fall to the GC and are
-# not returned — the pool is best-effort by design.
-#
-# Pools are scoped per simulator (``beacon_pool_of(sim)``) so that
-# consecutive ``Simulator`` runs in one process (campaign runner,
-# pytest) cannot hand each other pooled packets: a warm pool must never
-# make run N+1 observable-different from a fresh-process run.
-# ----------------------------------------------------------------------
-
-_BEACON_POOL_MAX = 512
-
-
-class BeaconPool:
-    """A bounded free list of BEACON packets."""
-
-    __slots__ = ("_free",)
-
-    def __init__(self) -> None:
-        self._free: list = []
-
-    def __len__(self) -> int:
-        return len(self._free)
-
-    def acquire(self, barrier_ts: int = 0, commit_ts: int = 0) -> Packet:
-        """A fresh BEACON packet, recycled from the free list when possible.
-
-        The returned packet has a new ``pkt_id`` and default header
-        fields (``src``/``dst`` -1, empty hosts) exactly like
-        ``Packet(BEACON)``.
-        """
-        free = self._free
-        if free:
-            packet = free.pop()
-            packet.pkt_id = next(_packet_ids)
-            packet.barrier_ts = barrier_ts
-            packet.commit_ts = commit_ts
-            # Reset the only fields the beacon path dirties (host egress
-            # stamps src_host/sent_at, congested links mark ecn, BFT
-            # emitters stamp auth); msg_ts, meta, psn etc. are never
-            # touched on beacons.
-            packet.src_host = ""
-            packet.sent_at = 0
-            packet.ecn = False
-            packet.auth = 0
-            packet._pooled = True
-            return packet
-        packet = Packet(
-            PacketKind.BEACON, barrier_ts=barrier_ts, commit_ts=commit_ts
-        )
-        packet._pooled = True
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        """Return a consumed beacon to the free list.
-
-        Safe to call on any beacon: packets not acquired from a pool
-        (tests constructing ``Packet(BEACON)`` directly) are ignored, as
-        is a double release.
-        """
-        if not packet._pooled:
-            return
-        packet._pooled = False
-        free = self._free
-        if len(free) < _BEACON_POOL_MAX:
-            free.append(packet)
-
-
-def beacon_pool_of(sim) -> BeaconPool:
-    """The beacon pool owned by ``sim`` (created on first use).
-
-    Accepts any object with a ``scoped(key, factory)`` method (the
-    ``Simulator``); packet.py deliberately does not import the sim
-    package.
-    """
-    return sim.scoped("repro.net.beacon_pool", BeaconPool)
-
-
-# Process-global fallback pool for call sites without a simulator in
-# reach (legacy helpers, tests).  The 1Pipe hot paths all use
-# ``beacon_pool_of(sim)``.
-_default_beacon_pool = BeaconPool()
-
-
-def acquire_beacon(barrier_ts: int = 0, commit_ts: int = 0) -> Packet:
-    """Module-level convenience over the process-global pool."""
-    return _default_beacon_pool.acquire(barrier_ts, commit_ts)
-
-
-def release_beacon(packet: Packet) -> None:
-    """Module-level convenience over the process-global pool."""
-    return _default_beacon_pool.release(packet)
 
 
 def fragment_sizes(message_bytes: int, mtu_payload: int = DEFAULT_MTU_PAYLOAD):

@@ -268,6 +268,3 @@ class Directory:
 
     def host_of(self, proc_id: int) -> str:
         return self._host_of[proc_id]
-
-    def all_procs(self) -> list:
-        return sorted(self._host_of)

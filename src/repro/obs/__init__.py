@@ -13,8 +13,8 @@ instruments against:
   cluster.
 - :class:`~repro.obs.sampler.Sampler` — periodically snapshots the
   registry (and optional callable probes) into
-  :class:`~repro.sim.stats.TimeSeries`, riding the timing-wheel
-  scheduler so sampling stays O(1) per tick.
+  :class:`~repro.sim.stats.TimeSeries` on a
+  :meth:`~repro.sim.simulator.Simulator.every` periodic task.
 - :mod:`~repro.obs.export` — deterministic JSON metrics reports and
   Chrome trace-event (``chrome://tracing`` / Perfetto) files derived
   from tracer records and sampler series, plus their schema validators.

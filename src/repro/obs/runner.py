@@ -2,8 +2,8 @@
 
 :func:`run_observe` builds a fat-tree cluster with **both** the tracer
 and the metrics registry enabled, drives deterministic random scatter
-traffic (the chaos campaign's :class:`TrafficDriver`), rides a
-:class:`~repro.obs.sampler.Sampler` on the timing wheel, and returns
+traffic (the chaos campaign's :class:`TrafficDriver`), runs a
+:class:`~repro.obs.sampler.Sampler` alongside, and returns
 
 - a metrics report (:func:`~repro.obs.export.build_metrics_report`),
 - a Chrome trace-event document

@@ -1,8 +1,7 @@
 """Runtime sampler: periodic registry snapshots into TimeSeries.
 
-The :class:`Sampler` rides the simulator's timing-wheel scheduler
-(:meth:`Simulator.every` → ``PeriodicTask`` → ``schedule_timer_at``) so
-each tick is an O(registered metrics) walk with O(1) scheduling cost.
+The :class:`Sampler` is a :meth:`Simulator.every` periodic task; each
+tick is an O(registered metrics) walk.
 Every registered counter and gauge is appended to a
 :class:`repro.sim.stats.TimeSeries` keyed by metric name; histograms
 contribute their running observation count (``<name>.count``).

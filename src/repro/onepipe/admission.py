@@ -150,7 +150,7 @@ class AdmissionController:
         ticket = self._ticket_seq
         self._open.add(ticket)
         if self.config.op_timeout_ns > 0:
-            self._timers[ticket] = self.sim.schedule_timer(
+            self._timers[ticket] = self.sim.schedule(
                 self.config.op_timeout_ns, self._timeout, ticket
             )
         dispatch(ticket)

@@ -4,9 +4,9 @@ At scale, beacons dominate the event population (paper §4.3: they are
 O(hosts × switch ports) per interval) — yet a beacon *carries* barrier
 information, it never creates it (§4.2).  In event-level simulation each
 beacon costs a packet allocation, a ``link.send``, one scheduler event
-per link for the delivery, a ``receive`` dispatch, and a pool release.
-The fabric replaces all of that with wave advance — its unit of work is
-the *wave*, not the link:
+per link for the delivery, and a ``receive`` dispatch.  The fabric
+replaces all of that with wave advance — its unit of work is the *wave*,
+not the link:
 
 - **Virtual sends** replay the link's beacon accounting exactly
   (``last_tx_time``, tail drop, ECN counters, serialization occupancy,
@@ -77,9 +77,9 @@ fabric performs the *same draws from the same streams at the same
 simulated instants* as the event-level path would.  The only per-link
 fallback is a ``drop_filter`` (an arbitrary predicate over packet
 objects — it must be shown a real packet), in which case the fabric
-materializes a pooled beacon and hands it to ``link.send`` unchanged;
+materializes a beacon packet and hands it to ``link.send`` unchanged;
 a filter installed *while a virtual beacon is in flight* is shown a
-transient pooled probe at arrival, exactly where ``Link._deliver``
+transient probe packet at arrival, exactly where ``Link._deliver``
 would consult it.  ``MODE_BFT`` disables the fabric entirely: its
 beacons carry per-packet MACs whose verification is part of the threat
 model under test.
@@ -95,7 +95,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.net.packet import BEACON_BYTES, beacon_pool_of
+from repro.net.packet import BEACON_BYTES, Packet, PacketKind
 from repro.obs.registry import GLOBAL_METRICS
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,7 +143,6 @@ class BeaconFabric:
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self._pool = beacon_pool_of(sim)
         self._metrics = getattr(sim, "metrics", None) or GLOBAL_METRICS
         # Open merge buckets: absolute time -> list of (fn, args)
         # entries replayed in append order.  Guarded by the collision
@@ -610,13 +609,11 @@ class BeaconFabric:
             # Filter installed while this beacon was in flight (a
             # filtered link materializes at send time instead).
             # ``_deliver`` shows the filter a packet — so must we.
-            probe = self._pool.acquire(be, commit)
+            probe = Packet(PacketKind.BEACON, barrier_ts=be, commit_ts=commit)
             if getattr(link.src, "uplink", None) is not None:
                 probe.src_host = link.src.node_id
             probe.sent_at = sent_at
-            dropped = link._drop_filter(probe)
-            self._pool.release(probe)
-            if dropped:
+            if link._drop_filter(probe):
                 link.dropped_corruption += 1
                 if metrics_on:
                     link._m_drop_corruption.add()
@@ -632,11 +629,11 @@ class BeaconFabric:
         sent_at: int,
         src_host: str = "",
     ) -> None:
-        """Fall back to a real pooled beacon through ``link.send`` (the
+        """Fall back to a real beacon packet through ``link.send`` (the
         link has a drop_filter that must inspect a packet object).
         Switch-emitted beacons leave ``src_host`` empty, exactly like
         ``_send_beacons``; host beacons pass the emitting host's id."""
-        beacon = self._pool.acquire(be, commit)
+        beacon = Packet(PacketKind.BEACON, barrier_ts=be, commit_ts=commit)
         if src_host:
             beacon.src_host = src_host
         beacon.sent_at = sent_at

@@ -131,9 +131,6 @@ class OnePipeCluster:
     def n_processes(self) -> int:
         return len(self.endpoints)
 
-    def agent_of(self, proc_id: int) -> HostAgent:
-        return self.endpoints[proc_id].agent
-
     def add_endpoint(self, host_id: str, proc_id: int) -> OnePipeEndpoint:
         """Register a new process (e.g. a recovered receiver re-joining
         as a fresh process, §5.2).  If the host had been declared failed

@@ -60,8 +60,6 @@ class OnePipeConfig:
     # the controller (the paper assumes a separate, always-on management
     # network; see Appendix "such a cut can always be found").
     ctrl_delay_ns: int = 2_000
-    # How often switch engines scan input links for beacon timeouts.
-    liveness_scan_interval_ns: int = 3_000
     # Settle window for relaying a beacon wave: after the first barrier
     # increase of a wave, the switch waits this long so the relayed
     # beacon aggregates the (almost simultaneous, §4.2) beacons of every

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.net.link import Link
 from repro.net.nic import Host
-from repro.net.packet import Packet, PacketKind, beacon_pool_of
+from repro.net.packet import Packet, PacketKind
 from repro.net.rpc import Directory
 from repro.obs.registry import GLOBAL_METRICS
 from repro.onepipe.config import MODE_BFT, MODE_CHIP, OnePipeConfig
@@ -105,9 +105,8 @@ class HostAgent:
         # Back-pointer for the virtual beacon fabric's arrival dispatch
         # (repro.onepipe.analytic); harmless otherwise.
         host.onepipe_agent = self
-        # Per-simulator beacon free list; the fabric itself is installed
-        # by the cluster outside MODE_BFT (None = event-level beacons).
-        self._beacon_pool = beacon_pool_of(self.sim)
+        # The fabric is installed by the cluster outside MODE_BFT (None =
+        # event-level beacons).
         self._fabric = None
         # Admission control (repro.onepipe.admission): None unless the
         # workload engine installs it, so default runs are untouched.
@@ -262,15 +261,12 @@ class HostAgent:
                 self.receiver_drops += 1
                 if self._metrics.enabled:
                     self._m_rx_drops.add()
-                self._beacon_pool.release(packet)
                 return True
             if self._bft and not self._verify_beacon(packet, _in_link):
-                self._beacon_pool.release(packet)
                 return True
             if self._metrics.enabled:
                 self._m_beacon_hop.observe(self.sim.now - packet.sent_at)
             self._update_barriers(packet.barrier_ts, packet.commit_ts)
-            self._beacon_pool.release(packet)
             return True
         if kind in _ONEPIPE_KINDS:
             if (
@@ -403,8 +399,8 @@ class HostAgent:
         if fabric is not None:
             fabric.host_beacon(self)  # virtual send, same clock schedule
             return
-        beacon = self._beacon_pool.acquire()  # src/dst -1 (node-level)
-        self.host.send_packet(beacon)  # egress hook stamps the barriers
+        # src/dst -1 (node-level); the egress hook stamps the barriers.
+        self.host.send_packet(Packet(PacketKind.BEACON))
 
     # ------------------------------------------------------------------
     # Failure handling, host side (§5.2)

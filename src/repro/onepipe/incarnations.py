@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.link import Link
-from repro.net.packet import Packet, PacketKind, beacon_pool_of
+from repro.net.packet import Packet, PacketKind
 from repro.net.switch import Switch
 from repro.obs.registry import GLOBAL_METRICS
 from repro.onepipe.barrier import BarrierRegisterFile
@@ -59,10 +59,8 @@ class _OrderingEngineBase:
         self.switch: Optional[Switch] = None
         self.be = BarrierRegisterFile()
         self.commit = BarrierRegisterFile()
-        # Beacon free list scoped to this run's simulator; the virtual
-        # beacon fabric, installed by the cluster outside MODE_BFT
-        # (None = event-level beacons).
-        self._beacon_pool = beacon_pool_of(sim)
+        # The virtual beacon fabric, installed by the cluster outside
+        # MODE_BFT (None = event-level beacons).
         self._fabric = None
         self._last_rx: Dict[Link, int] = {}
         self._dead: set = set()
@@ -339,9 +337,10 @@ class _OrderingEngineBase:
                 self._tx_floor = self.sim.now
             return
         now = self.sim.now
-        pool = self._beacon_pool
         for link in out_links:
-            beacon = pool.acquire(be_min, commit_min)
+            beacon = Packet(
+                PacketKind.BEACON, barrier_ts=be_min, commit_ts=commit_min
+            )
             # Engine beacons bypass Host.send_packet, which is where
             # host-emitted packets get sent_at; stamp here so per-hop
             # beacon-latency histograms see the true emission time.
@@ -471,7 +470,6 @@ class ProgrammableChipEngine(_OrderingEngineBase):
             # the cascade below.
             if self._metrics.enabled:
                 self._m_beacon_hop.observe(self.sim.now - packet.sent_at)
-            self._beacon_pool.release(packet)
             forward = False
         else:
             packet.barrier_ts = be_min
@@ -614,7 +612,6 @@ class SwitchCpuEngine(_OrderingEngineBase):
             if self._metrics.enabled:
                 self._m_beacon_hop.observe(self.sim.now - packet.sent_at)
             self._buffer_beacon(in_link, packet.barrier_ts, packet.commit_ts)
-            self._beacon_pool.release(packet)
             return False
         return True  # data forwarded by the chip, barriers untouched
 
@@ -808,7 +805,6 @@ class BftChipEngine(ProgrammableChipEngine):
                     f"beacon auth failure on {in_link.name} "
                     f"(be={packet.barrier_ts} commit={packet.commit_ts})",
                 )
-                self._beacon_pool.release(packet)
                 return False
             self._last_rx[in_link] = self.sim.now
             if self._dead and in_link in self._dead:
@@ -818,7 +814,6 @@ class BftChipEngine(ProgrammableChipEngine):
             staged_be, staged_commit = self._staged_minima(
                 in_link, packet.barrier_ts, packet.commit_ts
             )
-            self._beacon_pool.release(packet)
             be = self.be
             commit = self.commit
             if be.has_link(in_link):

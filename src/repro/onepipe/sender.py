@@ -313,11 +313,9 @@ class ProcessSender:
             )
             # Loss timers run from when the last fragment actually left
             # the send CPU, not from submission — otherwise large
-            # scatterings retransmit while still serializing out.  These
-            # timers are almost always cancelled (the ACK arrives), so
-            # they take the timing-wheel path.
+            # scatterings retransmit while still serializing out.
             egress_done = max(self.sim.now, self._cpu_free_at)
-            msg.timer = self.sim.schedule_timer_at(
+            msg.timer = self.sim.schedule_at(
                 egress_done + timeout, self._on_timer, msg
             )
         if not scattering.reliable:
@@ -431,7 +429,7 @@ class ProcessSender:
         self._transmit(msg)
         backoff = self.config.rtx_timeout_ns << min(msg.rtx_count, 4)
         egress_done = max(self.sim.now, self._cpu_free_at)
-        msg.timer = self.sim.schedule_timer_at(
+        msg.timer = self.sim.schedule_at(
             egress_done + backoff, self._on_timer, msg
         )
 

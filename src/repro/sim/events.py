@@ -12,9 +12,7 @@ handle that is still queued reports its cancellation back to the owning
 simulator (the ``_sim`` back-reference doubles as the "still queued" flag —
 the run loop clears it when the handle is popped), and the simulator
 compacts the queue once tombstones dominate (see
-:meth:`repro.sim.simulator.Simulator._compact`).  Handles cancelled while
-still bucketed in the timing wheel are cheaper yet: the wheel-to-heap
-transfer drops them without ever pushing them onto the heap.
+:meth:`repro.sim.simulator.Simulator._compact`).
 """
 
 from __future__ import annotations

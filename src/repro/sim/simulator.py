@@ -1,27 +1,15 @@
 """The deterministic discrete-event simulator.
 
 Time is an integer number of nanoseconds starting at 0.  The scheduler is
-two-tiered:
-
-- a binary heap of ``(time, seq, payload)`` tuples popped in ``(time,
-  seq)`` order.  Storing plain tuples (rather than the
-  :class:`EventHandle` objects themselves) keeps every heap comparison
-  inside the C tuple-compare fast path — ``seq`` is unique, so a sift
-  never reaches the payload element.  The payload is an
-  :class:`EventHandle` for cancellable events, or a bare ``(callback,
-  args)`` tuple for fire-and-forget events posted via :meth:`Simulator.post`
-  — the data path (link deliveries, packet forwarding) never cancels, so
-  it skips the handle allocation entirely;
-- a hashed timing wheel (Varghese & Lauck) front-end for the dense
-  short-horizon population: beacons, clock-sync ticks, link delays and
-  retransmission timers land in O(1) append buckets of
-  ``WHEEL_SLOT_NS``-wide slots instead of churning the heap.  The run loop
-  transfers due slots into the heap just before they can fire, so global
-  ``(time, seq)`` order — and therefore determinism — is unchanged; timers
-  cancelled while still in a bucket (the common fate of retransmission
-  timers) are dropped at transfer time and never touch the heap at all.
-  Events beyond the wheel horizon (``WHEEL_SLOT_NS * WHEEL_SLOTS`` ns
-  ahead) go straight to the heap.
+one binary heap of ``(time, seq, payload)`` tuples popped in ``(time,
+seq)`` order.  Storing plain tuples (rather than the :class:`EventHandle`
+objects themselves) keeps every heap comparison inside the C
+tuple-compare fast path — ``seq`` is unique, so a sift never reaches the
+payload element.  The payload is an :class:`EventHandle` for cancellable
+events, or a bare ``(callback, args)`` tuple for fire-and-forget events
+posted via :meth:`Simulator.post` — the data path (link deliveries,
+packet forwarding) never cancels, so it skips the handle allocation
+entirely.
 
 Determinism guarantees:
 
@@ -72,21 +60,11 @@ class Simulator:
     """
 
     # Compaction: once at least this many cancelled tombstones sit in the
-    # queue (heap + wheel) AND they make up at least half of it, rebuild
-    # without them.  Mirrors asyncio's timer-handle compaction; bounds
-    # queue growth under schedule/cancel churn (retransmission timers
-    # ACKed early, periodic tasks torn down mid-campaign) at amortized
-    # O(1) per cancellation.
+    # heap AND they make up at least half of it, rebuild without them.
+    # Mirrors asyncio's timer-handle compaction; bounds queue growth under
+    # schedule/cancel churn (retransmission timers ACKed early, periodic
+    # tasks torn down mid-campaign) at amortized O(1) per cancellation.
     COMPACT_MIN_TOMBSTONES = 64
-
-    # Timing-wheel geometry (class attributes so tests can override).
-    # Slots are 2**WHEEL_SLOT_SHIFT ns wide; the wheel spans WHEEL_SLOTS
-    # consecutive slots (the horizon).  512 slots x 1024 ns = ~524 us
-    # comfortably covers beacon intervals, link delays and retransmission
-    # timeouts while leaving long-horizon events (episode fences, chaos
-    # phase changes) on the heap.  WHEEL_SLOTS must be a power of two.
-    WHEEL_SLOT_SHIFT = 10
-    WHEEL_SLOTS = 512
 
     def __init__(self, seed: int = 0) -> None:
         self.now: int = 0
@@ -97,18 +75,8 @@ class Simulator:
         self._stopped = False
         self._rngs = RngStreams(seed)
         self._events_processed = 0
-        # Cancelled-but-still-queued handles, across heap AND wheel.
+        # Cancelled-but-still-queued handles.
         self._tombstones = 0
-        # Timing wheel: _wheel_cursor is an absolute slot number; every
-        # slot strictly below it has been transferred to the heap, so all
-        # bucketed entries have time >= _wheel_edge == cursor * slot_width.
-        # _wheel_count includes cancelled entries still in buckets.
-        self._wheel_shift = self.WHEEL_SLOT_SHIFT
-        self._wheel_mask = self.WHEEL_SLOTS - 1
-        self._wheel_slots: list[list] = [[] for _ in range(self.WHEEL_SLOTS)]
-        self._wheel_cursor = 0
-        self._wheel_edge = 0
-        self._wheel_count = 0
         # Structured tracing, disabled by default.  Components cache this
         # object at construction time, so enable it *in place*
         # (``sim.tracer.enabled = True``) before building a cluster rather
@@ -118,8 +86,6 @@ class Simulator:
         # default, cached by components, enable *in place*
         # (``sim.metrics.enabled = True``) before building a cluster.
         self.metrics = MetricsRegistry(enabled=False)
-        # Per-simulator scoped singletons (see :meth:`scoped`).
-        self._scoped: dict = {}
         # Merge-bucket collision watch (repro.onepipe.analytic).  Beacon
         # fabrics register every instant with an open merged bucket here
         # (refcounted, in case several fabrics share one simulator); any
@@ -133,26 +99,6 @@ class Simulator:
         self._fabric_epoch = 0
 
     # ------------------------------------------------------------------
-    # Per-simulator scoped state
-    # ------------------------------------------------------------------
-    def scoped(self, key: str, factory: Callable[[], Any]) -> Any:
-        """A lazily created singleton bound to *this* simulator.
-
-        Subsystems that used to keep process-wide module state (free
-        lists, key registries, interning tables) hang it off the
-        simulator instead, so back-to-back runs in one process cannot
-        observe each other: ``pool = sim.scoped("beacon_pool", BeaconPool)``.
-        The first call per key invokes ``factory()``; later calls return
-        the same object.  Keys are plain strings, namespaced by module
-        convention (``"repro.net.beacon_pool"``).
-        """
-        try:
-            return self._scoped[key]
-        except KeyError:
-            obj = self._scoped[key] = factory()
-            return obj
-
-    # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(
@@ -160,10 +106,8 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` ns from now.
 
-        This is the data-path entry point (packet arrivals, link
-        deliveries): straight onto the heap, no timer-routing logic —
-        such events are dense but essentially never cancelled, so the
-        wheel's cancellation-elision buys nothing for them.
+        The returned handle cancels it; events nobody will cancel are
+        cheaper through :meth:`post`.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
@@ -224,91 +168,18 @@ class Simulator:
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, (callback, args)))
 
-    def schedule_timer(
-        self, delay: int, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Schedule a *timer*: a periodic or likely-to-be-cancelled event.
-
-        Semantically identical to :meth:`schedule` (same ``(time, seq)``
-        firing order), but routed through the timing wheel when the firing
-        time lands inside the wheel window: O(1) bucket append instead of
-        a heap push, and — the real win — a timer cancelled while still
-        bucketed (a retransmission timer whose ACK arrived, a periodic
-        task torn down) is dropped at transfer time without ever touching
-        the heap.  Beacon ticks, clock-sync ticks and retransmission/ACK
-        timers all come through here.
-        """
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        time = self.now + int(delay)
-        if time in self._fabric_times:
-            self._fabric_epoch += 1
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, self)
-        slot = time >> self._wheel_shift
-        cursor = self._wheel_cursor
-        if cursor <= slot <= cursor + self._wheel_mask:
-            self._wheel_slots[slot & self._wheel_mask].append(
-                (time, seq, handle)
-            )
-            self._wheel_count += 1
-        else:
-            self._timer_to_heap(time, seq, handle, slot)
-        return handle
-
-    def schedule_timer_at(
-        self, time: int, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
-        """Absolute-time variant of :meth:`schedule_timer`."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time}, current time is {self.now}"
-            )
-        time = int(time)
-        if time in self._fabric_times:
-            self._fabric_epoch += 1
-        seq = self._seq
-        self._seq = seq + 1
-        handle = EventHandle(time, seq, callback, args, self)
-        slot = time >> self._wheel_shift
-        cursor = self._wheel_cursor
-        if cursor <= slot <= cursor + self._wheel_mask:
-            self._wheel_slots[slot & self._wheel_mask].append(
-                (time, seq, handle)
-            )
-            self._wheel_count += 1
-        else:
-            self._timer_to_heap(time, seq, handle, slot)
-        return handle
-
-    def _timer_to_heap(self, time: int, seq: int, handle, slot: int) -> None:
-        """A timer missed the wheel window; heap fallback (slow path)."""
-        if not self._wheel_count:
-            # Empty wheel: snap the window forward to ``now`` for free (no
-            # bucket can hold anything), re-capturing dense timer traffic
-            # after a long idle gap.
-            cursor = max(self._wheel_cursor, self.now >> self._wheel_shift)
-            self._wheel_cursor = cursor
-            self._wheel_edge = cursor << self._wheel_shift
-            if cursor <= slot <= cursor + self._wheel_mask:
-                self._wheel_slots[slot & self._wheel_mask].append(
-                    (time, seq, handle)
-                )
-                self._wheel_count = 1
-                return
-        # Beyond the horizon, or in a slot already transferred (sub-slot
-        # delay behind the cursor): the heap takes it.
-        heapq.heappush(self._heap, (time, seq, handle))
+    # Old names, kept only because perf/probes.py still calls them.
+    schedule_timer = schedule
+    schedule_timer_at = schedule_at
 
     def _requeue_timer(self, handle, time: int) -> None:
         """Re-arm a just-fired timer handle at ``time``.
 
         :class:`PeriodicTask` reschedules through here: identical
-        ``(time, seq)`` placement to :meth:`schedule_timer_at`, but the
-        handle object is recycled instead of reallocated (a periodic
-        task has at most one pending firing, and the run loop has
-        already detached the popped handle).
+        ``(time, seq)`` placement to :meth:`schedule_at`, but the handle
+        object is recycled instead of reallocated (a periodic task has
+        at most one pending firing, and the run loop has already
+        detached the popped handle).
         """
         if time in self._fabric_times:
             self._fabric_epoch += 1
@@ -317,60 +188,22 @@ class Simulator:
         handle.time = time
         handle.seq = seq
         handle._sim = self
-        slot = time >> self._wheel_shift
-        cursor = self._wheel_cursor
-        if cursor <= slot <= cursor + self._wheel_mask:
-            self._wheel_slots[slot & self._wheel_mask].append(
-                (time, seq, handle)
-            )
-            self._wheel_count += 1
-        else:
-            self._timer_to_heap(time, seq, handle, slot)
-
-    def _wheel_to_heap(self) -> None:
-        """Transfer due wheel slots into the heap.
-
-        Advances the cursor until the heap top is globally minimal again
-        (every remaining bucketed entry sits in a slot whose whole window
-        lies after the heap top), or the wheel drains.  Entries cancelled
-        while bucketed are dropped here and never reach the heap.
-        """
-        heap = self._heap
-        slots = self._wheel_slots
-        mask = self._wheel_mask
-        shift = self._wheel_shift
-        cursor = self._wheel_cursor
-        push = heapq.heappush
-        while self._wheel_count and not (
-            heap and heap[0][0] < (cursor << shift)
-        ):
-            bucket = slots[cursor & mask]
-            if bucket:
-                self._wheel_count -= len(bucket)
-                for entry in bucket:
-                    if entry[2].cancelled:
-                        self._tombstones -= 1
-                    else:
-                        push(heap, entry)
-                bucket.clear()
-            cursor += 1
-        self._wheel_cursor = cursor
-        self._wheel_edge = cursor << shift
+        heapq.heappush(self._heap, (time, seq, handle))
 
     def _handle_cancelled(self) -> None:
         """A queued handle was cancelled (called by the handle itself)."""
         self._tombstones += 1
         if (
             self._tombstones >= self.COMPACT_MIN_TOMBSTONES
-            and self._tombstones * 2 >= len(self._heap) + self._wheel_count
+            and self._tombstones * 2 >= len(self._heap)
         ):
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the queue (heap and wheel buckets) without tombstones.
+        """Rebuild the heap without tombstones.
 
-        Mutates the heap list and bucket lists in place so a run loop
-        holding a local reference keeps seeing the compacted queue.
+        Mutates the heap list in place so a run loop holding a local
+        reference keeps seeing the compacted queue.
         """
         heap = self._heap
         heap[:] = [
@@ -379,13 +212,6 @@ class Simulator:
             if type(entry[2]) is tuple or not entry[2].cancelled
         ]
         heapq.heapify(heap)
-        if self._wheel_count:
-            count = 0
-            for bucket in self._wheel_slots:
-                if bucket:
-                    bucket[:] = [e for e in bucket if not e[2].cancelled]
-                    count += len(bucket)
-            self._wheel_count = count
         self._tombstones = 0
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
@@ -440,19 +266,10 @@ class Simulator:
         # Specialized loops keep the hot path tight: the common case
         # (no max_events) skips the per-event safety comparison, and the
         # unbounded-time variant skips the ``until`` peek as well.  Live
-        # events are popped exactly once (no peek-then-pop).  Each loop
-        # guards the pop with a wheel transfer so the heap top is always
-        # globally minimal; with an empty wheel the guard is one falsy
-        # attribute check.
+        # events are popped exactly once (no peek-then-pop).
         if max_events is None:
             if until is None:
-                while not self._stopped:
-                    if self._wheel_count and (
-                        not heap or heap[0][0] >= self._wheel_edge
-                    ):
-                        self._wheel_to_heap()
-                    if not heap:
-                        break
+                while heap and not self._stopped:
                     time, _seq, handle = pop(heap)
                     if type(handle) is tuple:
                         self.now = time
@@ -467,17 +284,7 @@ class Simulator:
                     handle.callback(*handle.args)
                     processed += 1
             else:
-                while not self._stopped:
-                    if self._wheel_count and (
-                        not heap or heap[0][0] >= self._wheel_edge
-                    ):
-                        if self._wheel_edge > until:
-                            # Every bucketed entry is beyond the bound, and
-                            # so is the heap top (it is >= the edge): done.
-                            break
-                        self._wheel_to_heap()
-                    if not heap:
-                        break
+                while heap and not self._stopped:
                     entry = heap[0]
                     time = entry[0]
                     if time > until:
@@ -498,15 +305,7 @@ class Simulator:
                     processed += 1
         else:
             bound = until if until is not None else float("inf")
-            while not self._stopped:
-                if self._wheel_count and (
-                    not heap or heap[0][0] >= self._wheel_edge
-                ):
-                    if self._wheel_edge > bound:
-                        break
-                    self._wheel_to_heap()
-                if not heap:
-                    break
+            while heap and not self._stopped:
                 entry = heap[0]
                 time = entry[0]
                 if time > bound:
@@ -540,13 +339,7 @@ class Simulator:
     def step(self) -> bool:
         """Process a single event.  Returns False if the queue is empty."""
         heap = self._heap
-        while True:
-            if self._wheel_count and (
-                not heap or heap[0][0] >= self._wheel_edge
-            ):
-                self._wheel_to_heap()
-            if not heap:
-                return False
+        while heap:
             time, _seq, handle = heapq.heappop(heap)
             if type(handle) is tuple:
                 self.now = time
@@ -561,6 +354,7 @@ class Simulator:
             handle.callback(*handle.args)
             self._events_processed += 1
             return True
+        return False
 
     def stop(self) -> None:
         """Stop the currently-running :meth:`run` after the current event."""
@@ -571,25 +365,19 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (heap + wheel buckets, including
-        cancelled tombstones)."""
-        return len(self._heap) + self._wheel_count
+        """Number of events still queued (including cancelled
+        tombstones)."""
+        return len(self._heap)
 
     @property
     def live_events(self) -> int:
         """Number of queued events that will actually fire."""
-        return len(self._heap) + self._wheel_count - self._tombstones
+        return len(self._heap) - self._tombstones
 
     @property
     def heap_tombstones(self) -> int:
-        """Cancelled events still occupying queue slots (lazy deletion),
-        whether they sit in the heap or in a wheel bucket."""
+        """Cancelled events still occupying heap slots (lazy deletion)."""
         return self._tombstones
-
-    @property
-    def wheel_events(self) -> int:
-        """Events currently bucketed in the timing wheel (incl. cancelled)."""
-        return self._wheel_count
 
     @property
     def events_processed(self) -> int:
@@ -599,19 +387,13 @@ class Simulator:
     def peek_time(self) -> Optional[int]:
         """Time of the next live event, or None if the queue is empty."""
         heap = self._heap
-        while True:
-            if self._wheel_count and (
-                not heap or heap[0][0] >= self._wheel_edge
-            ):
-                self._wheel_to_heap()
-            if heap:
-                top = heap[0][2]
-                if type(top) is not tuple and top.cancelled:
-                    heapq.heappop(heap)
-                    self._tombstones -= 1
-                    continue
-            break
-        return heap[0][0] if heap else None
+        while heap:
+            top = heap[0][2]
+            if type(top) is tuple or not top.cancelled:
+                return heap[0][0]
+            heapq.heappop(heap)
+            self._tombstones -= 1
+        return None
 
     def rng(self, name: str):
         """Named deterministic random stream (see :class:`RngStreams`)."""
@@ -635,10 +417,7 @@ class Simulator:
         return PeriodicTask(self, interval, callback, args, phase, jitter_rng, jitter)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Simulator t={self.now} "
-            f"pending={len(self._heap) + self._wheel_count}>"
-        )
+        return f"<Simulator t={self.now} pending={len(self._heap)}>"
 
 
 class PeriodicTask:
@@ -670,7 +449,7 @@ class PeriodicTask:
         if first < sim.now:
             first += self._interval
         self._next_time = first
-        self._handle = sim.schedule_timer_at(self._apply_jitter(first), self._fire)
+        self._handle = sim.schedule_at(self._apply_jitter(first), self._fire)
 
     def _apply_jitter(self, time: int) -> int:
         if self._jitter and self._jitter_rng is not None:

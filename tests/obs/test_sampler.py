@@ -1,4 +1,4 @@
-"""Tests for the timing-wheel-riding runtime sampler."""
+"""Tests for the runtime sampler."""
 
 import pytest
 

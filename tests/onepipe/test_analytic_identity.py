@@ -23,9 +23,8 @@ pin the contract from six angles:
   catch-up instants.
 
 Plus two regressions: back-to-back runs in one process stay identical
-(the beacon free list is per-simulator — a shared pool would let one
-run's packets leak into the next), and the transport is selected from
-the mode alone (fabric by default, packets under MODE_BFT, whose
+(no beacon state outlives its simulator), and the transport is selected
+from the mode alone (fabric by default, packets under MODE_BFT, whose
 beacons carry per-packet MACs).
 """
 
@@ -74,7 +73,7 @@ def _run_workload(mode, seed, until, perturb=False):
         sim.post(180_000, flap.recover)
         # Install (and later remove) a filter while virtual beacons are
         # already in flight: the fabric shows the filter a transient
-        # pooled probe at arrival, exactly where Link._deliver would.
+        # probe packet at arrival, exactly where Link._deliver would.
         late = links[19]
         sim.post(
             200_001,
@@ -158,8 +157,8 @@ def test_fallback_beacons_on_filtered_links():
 
 def test_back_to_back_runs_identical():
     """Two fabric runs in one process match one run in a fresh
-    process-state: the beacon free list is scoped per simulator, so no
-    pooled packet survives into (or poisons) a later run."""
+    process-state: no beacon packet or fabric state survives into (or
+    poisons) a later run."""
     first = _run_workload("chip", seed=7, until=400_000)
     second = _run_workload("chip", seed=7, until=400_000)
     assert first == second

@@ -8,7 +8,7 @@ in ``src/`` for BFT and for the per-link ``drop_filter`` fallback.  To
 compare the fabric against it, build the cluster under
 :func:`on_packet_beacons`: ``OnePipeCluster._install_fabric`` becomes a
 no-op, so engines and host agents keep ``_fabric = None`` and send one
-pooled packet per beacon.  This is the only way to obtain that
+packet per beacon.  This is the only way to obtain that
 configuration — there is no constructor argument, config field or CLI
 flag for it.
 

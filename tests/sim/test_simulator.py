@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event simulator core."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import SimulationError, Simulator
 
@@ -214,3 +216,216 @@ def test_rng_streams_differ_by_seed_and_name():
     )
     sim = Simulator(seed=1)
     assert sim.rng("x").random() != sim.rng("y").random()
+
+
+# ----------------------------------------------------------------------
+# The order contract, over every entry point at once
+# ----------------------------------------------------------------------
+# Delays below one microsecond, inside and beyond half a millisecond, and
+# the 1,024 ns multiples between them: the values a bucketed scheduler
+# tier would treat differently.  Half the draws come from the short grid
+# so that events from different entry points often share an instant,
+# where only the issue order separates them.
+_GRID = [0, 1, 1_023, 1_024, 2_048, 523_264, 524_288, 525_312, 1_048_576]
+_DELAYS = st.one_of(st.sampled_from(_GRID), st.integers(0, 2_000_000))
+_ENTRY_POINTS = (
+    "schedule",
+    "schedule_at",
+    "post",
+    "post_at",
+    "schedule_timer",
+    "schedule_timer_at",
+)
+
+
+def _actions(children):
+    return st.one_of(
+        st.tuples(
+            st.just("sched"), st.sampled_from(_ENTRY_POINTS), _DELAYS, children
+        ),
+        st.tuples(
+            st.just("every"),
+            _DELAYS.filter(bool),  # interval
+            st.sampled_from([0, 1, 1_023]),  # phase, reduced mod interval
+            st.integers(1, 3),  # cancelled from inside its n-th firing
+            children,
+        ),
+        st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+    )
+
+
+# An action issued from inside a callback is a child of the action whose
+# firing runs it; a periodic task issues its children on every firing.
+_ACTIONS = st.recursive(
+    _actions(st.just(())),
+    lambda inner: _actions(st.lists(inner, max_size=3).map(tuple)),
+    max_leaves=8,
+)
+_EXECUTORS = st.one_of(
+    st.tuples(st.just("run"), _DELAYS, st.booleans()),
+    st.sampled_from([("step",), ("peek",)]),
+)
+_PROGRAMS = st.lists(
+    st.tuples(st.lists(_ACTIONS, max_size=6), _EXECUTORS), max_size=12
+)
+
+
+class _OrderModel:
+    """Runs a program against a simulator and the obvious model of one.
+
+    The model is the list of issued ``[time, issue index, state]``
+    entries: every scheduling call, whichever entry point took it and
+    whether it came from the test body or from inside a callback, draws
+    the next issue index.  What fires must be the entries nobody
+    cancelled first, in ``(time, issue index)`` order.
+    """
+
+    LIVE, FIRED, CANCELLED = "live", "fired", "cancelled"
+
+    def __init__(self, compact_min: int) -> None:
+        self.sim = Simulator()
+        # Small programs never reach the default compaction threshold.
+        self.sim.COMPACT_MIN_TOMBSTONES = compact_min
+        self.entries: list[list] = []
+        self.fired: list[tuple] = []
+        # What a ``cancel`` action can pick: ("handle", handle, entry
+        # index) or ("task", record).
+        self.cancellable: list[tuple] = []
+
+    # -- model bookkeeping ---------------------------------------------
+    def _issue(self, time: int) -> int:
+        self.entries.append([time, len(self.entries), self.LIVE])
+        return len(self.entries) - 1
+
+    def _mark_fired(self, index: int) -> None:
+        entry = self.entries[index]
+        assert entry[2] == self.LIVE, f"{entry} fired"
+        assert entry[0] == self.sim.now
+        entry[2] = self.FIRED
+        self.fired.append((entry[0], entry[1]))
+        self.check_counts()
+
+    def _unfired(self) -> list[tuple]:
+        return sorted(
+            (e[0], e[1]) for e in self.entries if e[2] == self.LIVE
+        )
+
+    def check_counts(self) -> None:
+        sim = self.sim
+        assert sim.pending_events == sim.live_events + sim.heap_tombstones
+        assert sim.live_events == sum(
+            e[2] == self.LIVE for e in self.entries
+        )
+
+    def check_order(self) -> None:
+        self.check_counts()
+        assert self.fired == sorted(self.fired)
+        unfired = self._unfired()
+        if self.fired and unfired:
+            assert self.fired[-1] < unfired[0]
+
+    # -- actions ---------------------------------------------------------
+    def act(self, action: tuple) -> None:
+        kind = action[0]
+        if kind == "sched":
+            self._sched(*action[1:])
+        elif kind == "every":
+            self._every(*action[1:])
+        elif self.cancellable:
+            self._cancel(self.cancellable[action[1] % len(self.cancellable)])
+
+    def _sched(self, entry_point: str, delay: int, children: tuple) -> None:
+        sim = self.sim
+        index = self._issue(sim.now + delay)
+        when = sim.now + delay if entry_point.endswith("_at") else delay
+        handle = getattr(sim, entry_point)(when, self._fire, index, children)
+        if handle is not None:
+            self.cancellable.append(("handle", handle, index))
+
+    def _fire(self, index: int, children: tuple) -> None:
+        self._mark_fired(index)
+        for child in children:
+            self.act(child)
+
+    def _every(
+        self, interval: int, phase: int, firings: int, children: tuple
+    ) -> None:
+        sim = self.sim
+        phase %= interval
+        first = sim.now - (sim.now - phase) % interval + interval
+        record = {
+            "pending": self._issue(first),
+            "left": firings,
+            "cancelled": False,
+        }
+        record["task"] = sim.every(
+            interval, self._tick, record, interval, children, phase=phase
+        )
+        self.cancellable.append(("task", record))
+
+    def _tick(self, record: dict, interval: int, children: tuple) -> None:
+        self._mark_fired(record["pending"])
+        for child in children:
+            self.act(child)
+        record["left"] -= 1
+        if not record["left"]:
+            self._cancel(("task", record))
+        if not record["cancelled"]:
+            # PeriodicTask re-arms after this callback returns.
+            record["pending"] = self._issue(self.sim.now + interval)
+
+    def _cancel(self, target: tuple) -> None:
+        if target[0] == "handle":
+            _, handle, index = target
+            handle.cancel()
+        else:
+            record = target[1]
+            record["task"].cancel()
+            record["cancelled"] = True
+            index = record["pending"]
+        if self.entries[index][2] == self.LIVE:
+            self.entries[index][2] = self.CANCELLED
+
+    # -- executors ---------------------------------------------------------
+    def execute(self, executor: tuple) -> None:
+        sim = self.sim
+        unfired = self._unfired()
+        if executor[0] == "run":
+            until = sim.now + executor[1]
+            sim.run(until=until, max_events=10**6 if executor[2] else None)
+            assert sim.now == until
+            assert all(time > until for time, _ in self._unfired())
+        elif executor[0] == "step":
+            before = len(self.fired)
+            assert sim.step() is bool(unfired)
+            assert len(self.fired) == before + bool(unfired)
+        else:
+            assert sim.peek_time() == (unfired[0][0] if unfired else None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    program=_PROGRAMS,
+    compact_min=st.sampled_from([2, Simulator.COMPACT_MIN_TOMBSTONES]),
+    drain_with_max_events=st.booleans(),
+)
+def test_order_contract_across_entry_points(
+    program, compact_min, drain_with_max_events
+):
+    """Whatever mix of entry points issued them, events fire in
+    ``(time, issue order)``, cancelled ones never fire, and the queue
+    counters agree with the model at every step."""
+    model = _OrderModel(compact_min)
+    for actions, executor in program:
+        for action in actions:
+            model.act(action)
+            model.check_order()
+        model.execute(executor)
+        model.check_order()
+    # Every periodic task cancels itself, so the queue drains.
+    model.sim.run(max_events=10**6 if drain_with_max_events else None)
+    model.check_order()
+    assert model.sim.pending_events == 0
+    assert model.fired == sorted(
+        (e[0], e[1]) for e in model.entries if e[2] != model.CANCELLED
+    )
