@@ -74,13 +74,15 @@ class Host(Node):
         # Pre-bound so the per-packet schedule below does not allocate a
         # bound-method object for every send.
         self._uplink_send = link.send
-        self.attach_out_link(link)
+        if link not in self.out_links:  # Topology.add_link attached it
+            self.attach_out_link(link)
 
     def set_downlink(self, link: Link) -> None:
         if self.downlink is not None:
             raise ValueError(f"{self.node_id} already has a downlink")
         self.downlink = link
-        self.attach_in_link(link)
+        if link not in self.in_links:
+            self.attach_in_link(link)
 
     def register_endpoint(self, proc_id: int, handler: PacketHandler) -> None:
         if proc_id in self.endpoints:

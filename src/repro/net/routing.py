@@ -1,10 +1,12 @@
 """Shortest-path DAG routing with ECMP, computed per destination class.
 
 Routes are computed over the *logical* routing graph (up/down switch
-halves, paper Fig. 3).  Among switches this graph is a DAG — that is the
-property hierarchical barrier aggregation relies on — while hosts appear
-as both sources (uplink edges) and sinks (downlink edges) and never
-forward, so only switch-to-switch edges are ever traversed.
+halves, paper Fig. 3), which is the ``Topology`` itself: ``switches``
+and each switch's ``out_links``, in insertion order.  Among switches
+this graph is a DAG — that is the property hierarchical barrier
+aggregation relies on — while hosts appear as both sources (uplink
+edges) and sinks (downlink edges) and never forward, so only
+switch-to-switch edges are ever traversed.
 
 Hosts attached to the same set of switches (a rack, in a fat-tree) are
 the same destination for every other switch.  So there is one reverse
@@ -21,35 +23,33 @@ failures.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Tuple
 
 from repro.net.link import Link
 from repro.net.nic import Host
-from repro.net.switch import Switch
+
+if TYPE_CHECKING:  # topology imports this module
+    from repro.net.topology import Topology
 
 
-def _switch_dag(graph: nx.DiGraph, exclude_links=frozenset()):
+def _switch_dag(topology: Topology, exclude_links=frozenset()):
     """The live routing graph as plain adjacency, verified acyclic.
 
     Returns ``(successors, predecessors, downlinks)``: per switch its
     switch successors as ``(switch id, link)`` in edge order and its
     switch predecessors, and per host ``{attachment switch id: link}``.
     """
-    successors: Dict[str, List[Tuple[str, Link]]] = {
-        node_id: []
-        for node_id, node in graph.nodes(data="obj")
-        if isinstance(node, Switch)
-    }
-    predecessors: Dict[str, List[str]] = {node_id: [] for node_id in successors}
+    switches = topology.switches
+    successors: Dict[str, List[Tuple[str, Link]]] = {n: [] for n in switches}
+    predecessors: Dict[str, List[str]] = {n: [] for n in switches}
     downlinks: Dict[str, Dict[str, Link]] = {}
-    for node_id, edges in successors.items():
-        for nbr, data in graph.adj[node_id].items():
-            link = data["link"]
+    for node_id, switch in switches.items():
+        edges = successors[node_id]
+        for link in switch.out_links:
             if link in exclude_links:
                 continue
-            if nbr in successors:
+            nbr = link.dst.node_id
+            if nbr in switches:
                 edges.append((nbr, link))
                 predecessors[nbr].append(node_id)
             else:
@@ -68,13 +68,13 @@ def _switch_dag(graph: nx.DiGraph, exclude_links=frozenset()):
     return successors, predecessors, downlinks
 
 
-def check_switch_dag(graph: nx.DiGraph) -> None:
+def check_switch_dag(topology: Topology) -> None:
     """Verify the switch-to-switch subgraph is acyclic.
 
     Cycles through hosts are fine (hosts never forward); a cycle among
     switches would break both forwarding and barrier aggregation.
     """
-    _switch_dag(graph)
+    _switch_dag(topology)
 
 
 def _reverse_bfs_distances(
@@ -93,18 +93,17 @@ def _reverse_bfs_distances(
 
 
 def compute_routes(
-    graph: nx.DiGraph, hosts: Iterable[Host], exclude_links=frozenset()
+    topology: Topology, hosts: Iterable[Host], exclude_links=frozenset()
 ) -> int:
-    """Populate ``Switch.routes`` for every switch in ``graph``.
+    """Populate ``Switch.routes`` for every switch of ``topology``.
 
-    ``graph`` nodes are node ids; edges carry ``link=Link`` attributes.
     ``exclude_links`` removes dead links before computation (the SDN
     controller reconfiguring routing tables on failure, paper §3.1).
     Returns the number of route entries installed (for diagnostics).
     """
-    successors, predecessors, downlinks = _switch_dag(graph, exclude_links)
+    successors, predecessors, downlinks = _switch_dag(topology, exclude_links)
     tables = {
-        node_id: graph.nodes[node_id]["obj"].routes for node_id in successors
+        node_id: switch.routes for node_id, switch in topology.switches.items()
     }
     # Destination class (its attachment switches) -> the (table, shared
     # next hops) pair of every switch at distance >= 2, and their total.
@@ -138,9 +137,7 @@ def compute_routes(
     return installed
 
 
-def clear_routes(graph: nx.DiGraph) -> None:
+def clear_routes(topology: Topology) -> None:
     """Remove all installed routes (before a recompute)."""
-    for _node_id, data in graph.nodes(data=True):
-        node = data.get("obj")
-        if isinstance(node, Switch):
-            node.routes.clear()
+    for switch in topology.switches.values():
+        switch.routes.clear()

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.clock import ClockSyncService, SkewModel
 from repro.net.link import Link, gbps_to_bytes_per_ns
 from repro.net.nic import Host
@@ -219,7 +217,8 @@ def fat_tree_descriptor(k: int, hosts_per_tor: int = 0) -> FatTreeDescriptor:
 
 
 class Topology:
-    """A built network: nodes, links, routing graph, clocks."""
+    """A built network: nodes, links, clocks.  It is its own routing
+    graph — each node's ``out_links`` / ``in_links``, in insertion order."""
 
     def __init__(self, sim: Simulator, params: TopologyParams) -> None:
         self.sim = sim
@@ -228,7 +227,6 @@ class Topology:
         self._host_by_id: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
         self.links: Dict[str, Link] = {}
-        self.graph = nx.DiGraph()
         self.clock_sync = ClockSyncService(
             sim,
             skew_model=params.skew_model,
@@ -241,7 +239,6 @@ class Topology:
     def add_switch(self, node_id: str, forwarding_delay_ns: int) -> Switch:
         switch = Switch(self.sim, node_id, forwarding_delay_ns)
         self.switches[node_id] = switch
-        self.graph.add_node(node_id, obj=switch)
         return switch
 
     def add_host(self, node_id: str, is_master_clock: bool = False) -> Host:
@@ -251,7 +248,6 @@ class Topology:
         )
         self.hosts.append(host)
         self._host_by_id[node_id] = host
-        self.graph.add_node(node_id, obj=host)
         return host
 
     def add_link(
@@ -291,7 +287,6 @@ class Topology:
         self.links[name] = link
         src.attach_out_link(link)
         dst.attach_in_link(link)
-        self.graph.add_edge(src.node_id, dst.node_id, link=link)
         return link
 
     # ------------------------------------------------------------------
@@ -304,7 +299,8 @@ class Topology:
         return self._host_by_id[node_id]
 
     def node(self, node_id: str):
-        return self.graph.nodes[node_id]["obj"]
+        switch = self.switches.get(node_id)
+        return switch if switch is not None else self._host_by_id[node_id]
 
     def link(self, src_id: str, dst_id: str) -> Link:
         return self.links[f"{src_id}->{dst_id}"]
@@ -418,7 +414,7 @@ def build_fat_tree(
                 host.set_downlink(down_link)
 
     if install_routes:
-        compute_routes(topo.graph, topo.hosts)
+        compute_routes(topo, topo.hosts)
     return topo
 
 

@@ -290,7 +290,7 @@ class Controller:
                         )
         host_ids = [host.node_id for host in self.topology.hosts]
         failed_hosts, host_ts = determine(
-            self.topology.graph, self._reports, self._roots, host_ids
+            self.topology, self._reports, self._roots, host_ids
         )
         new_failures: List[Tuple[int, int]] = []
         for host_id in failed_hosts:
@@ -393,14 +393,14 @@ class Controller:
         self._report_engines = {}
 
     def _reroute(self) -> None:
-        clear_routes(self.topology.graph)
+        clear_routes(self.topology)
         alive_hosts = [
             host
             for host in self.topology.hosts
             if host.node_id not in self.failed_hosts
         ]
         compute_routes(
-            self.topology.graph, alive_hosts, exclude_links=self._all_dead_links
+            self.topology, alive_hosts, exclude_links=self._all_dead_links
         )
 
     # ------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Failure-determination graph algorithms (paper §5.2).
 
-Pure functions over the routing graph, unit-testable without a running
-simulation:
+Pure functions over the routing graph — the ``Topology``'s nodes and
+their ``out_links`` / ``in_links``, walked by plain BFS in insertion
+order — unit-testable without a running simulation:
 
 - **Which processes failed?**  *"A process that disconnects from the
   controller in a routing graph is regarded as failed."*  The controller
@@ -24,11 +25,13 @@ the paper; non-separable receivers sacrifice atomicity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
 from repro.net.link import Link
+from repro.net.switch import Node
+
+if TYPE_CHECKING:
+    from repro.net.topology import Topology
 
 
 @dataclass(frozen=True)
@@ -51,54 +54,50 @@ class DeadLinkReport:
     seq: int = 0
 
 
-def alive_digraph(graph: nx.DiGraph, dead_links: Set[Link]) -> nx.DiGraph:
-    """The routing graph with dead links removed (directed)."""
-    alive = nx.DiGraph()
-    alive.add_nodes_from(graph.nodes)
-    for u, v, data in graph.edges(data=True):
-        if data.get("link") not in dead_links:
-            alive.add_edge(u, v)
-    return alive
+def _reach(starts: Iterable[Node], neighbours) -> Dict[str, Node]:
+    """``starts`` and every node a BFS reaches from them through
+    ``neighbours(node)``, by id, in visiting order."""
+    seen = {node.node_id: node for node in starts}
+    queue = list(seen.values())
+    for node in queue:  # grows while it is walked
+        for nbr in neighbours(node):
+            if nbr.node_id not in seen:
+                seen[nbr.node_id] = nbr
+                queue.append(nbr)
+    return seen
 
 
-def can_send_to_roots(alive: nx.DiGraph, roots: Iterable[str]) -> Set[str]:
-    """Nodes with a directed path *to* at least one root."""
-    senders: Set[str] = set()
-    for root in roots:
-        if root not in alive:
-            continue
-        senders.add(root)
-        senders.update(nx.ancestors(alive, root))
-    return senders
-
-
-def can_receive_from_roots(alive: nx.DiGraph, roots: Iterable[str]) -> Set[str]:
-    """Nodes with a directed path *from* at least one root."""
-    receivers: Set[str] = set()
-    for root in roots:
-        if root not in alive:
-            continue
-        receivers.add(root)
-        receivers.update(nx.descendants(alive, root))
-    return receivers
+def _send_and_receive_ok(
+    topology: Topology, dead_links: Set[Link], roots: Iterable[str]
+) -> Tuple[Dict[str, Node], Dict[str, Node]]:
+    """Nodes with a live directed path *to* at least one root, and nodes
+    with one *from* at least one root (hosts are ordinary nodes here)."""
+    root_nodes = [topology.node(root) for root in roots]
+    send_ok = _reach(root_nodes, lambda node: [
+        link.src for link in node.in_links if link not in dead_links
+    ])
+    recv_ok = _reach(root_nodes, lambda node: [
+        link.dst for link in node.out_links if link not in dead_links
+    ])
+    return send_ok, recv_ok
 
 
 def alive_nodes(
-    graph: nx.DiGraph, dead_links: Set[Link], roots: Iterable[str]
+    topology: Topology, dead_links: Set[Link], roots: Iterable[str]
 ) -> Set[str]:
     """Nodes that can both send to and receive from the root layer."""
-    alive = alive_digraph(graph, dead_links)
-    return can_send_to_roots(alive, roots) & can_receive_from_roots(alive, roots)
+    send_ok, recv_ok = _send_and_receive_ok(topology, dead_links, roots)
+    return send_ok.keys() & recv_ok.keys()
 
 
 def disconnected_hosts(
-    graph: nx.DiGraph,
+    topology: Topology,
     dead_links: Set[Link],
     roots: Iterable[str],
     host_ids: Iterable[str],
 ) -> Set[str]:
     """Hosts separated from the controller's roots (§5.2 Determine)."""
-    alive = alive_nodes(graph, dead_links, roots)
+    alive = alive_nodes(topology, dead_links, roots)
     return {host_id for host_id in host_ids if host_id not in alive}
 
 
@@ -146,7 +145,7 @@ def equivocal_reports(
 
 
 def determine(
-    graph: nx.DiGraph,
+    topology: Topology,
     reports: List[DeadLinkReport],
     roots: Iterable[str],
     host_ids: Iterable[str],
@@ -158,26 +157,26 @@ def determine(
     behind a crashed single-homed ToR).
     """
     dead_links = {report.link for report in reports}
-    alive = alive_digraph(graph, dead_links)
-    send_ok = can_send_to_roots(alive, roots)
-    recv_ok = can_receive_from_roots(alive, roots)
-    ok = send_ok & recv_ok
+    send_ok, recv_ok = _send_and_receive_ok(topology, dead_links, roots)
+    ok = send_ok.keys() & recv_ok.keys()
     failed_hosts = {h for h in host_ids if h not in ok}
-    if not failed_hosts:
-        return set(), {}
     # Group failed nodes into weakly connected regions so each region's
     # timestamp is the max last-commit across its own cut.  The region
     # that matters for the cut is the send-side one: the dead links the
     # correct neighbors reported originate there.
-    failed_nodes = {node for node in graph.nodes if node not in send_ok}
-    failed_nodes.update(h for h in failed_hosts)
-    sub = alive.subgraph(failed_nodes).to_undirected(as_view=False)
+
+    def failed_neighbours(node: Node) -> List[Node]:
+        live = [l.dst for l in node.out_links if l not in dead_links]
+        live += [l.src for l in node.in_links if l not in dead_links]
+        return [
+            nbr for nbr in live
+            if nbr.node_id not in send_ok or nbr.node_id in failed_hosts
+        ]
+
     timestamps: Dict[str, int] = {}
-    for component in nx.connected_components(sub):
-        ts = failure_timestamp(set(component), reports)
-        for node in component:
-            if node in failed_hosts:
-                timestamps[node] = ts
-    for host_id in failed_hosts:
-        timestamps.setdefault(host_id, 0)
+    for host in topology.hosts:
+        if host.node_id in failed_hosts and host.node_id not in timestamps:
+            region = _reach([host], failed_neighbours)
+            ts = failure_timestamp(region.keys(), reports)
+            timestamps.update((n, ts) for n in region if n in failed_hosts)
     return failed_hosts, timestamps

@@ -32,10 +32,7 @@ hanging the merge loop — the regression tests in
 
 from __future__ import annotations
 
-import multiprocessing
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -46,6 +43,10 @@ class ParallelWorkerError(RuntimeError):
 
 
 def _mp_context():
+    # Imported here, like run_ordered's executor: jobs == 1 builds no pool,
+    # and these drag in logging, subprocess, socket, tempfile, bz2, lzma.
+    import multiprocessing
+
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
@@ -106,6 +107,9 @@ def run_ordered(
                 progress(result)
             results.append(result)
         return results
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(items)), mp_context=_mp_context()
     ) as pool:

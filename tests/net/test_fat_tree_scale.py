@@ -18,7 +18,7 @@ from repro.net.routing import check_switch_dag, clear_routes, compute_routes
 from repro.net.switch import Switch
 from repro.net.topology import fat_tree_descriptor
 from repro.sim import Simulator
-from tests.reference import reverse_bfs_distances
+from tests.reference import as_networkx, reverse_bfs_distances
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +34,7 @@ def assert_routes_descend_distance(topo, sample_hosts):
     destination by exactly one, so no forwarding walk can revisit a
     switch: loop-freedom holds for every tie-breaking policy.
     """
-    graph = topo.graph
+    graph = as_networkx(topo)
     for host in sample_hosts:
         dst = host.node_id
         dist = reverse_bfs_distances(graph, dst)
@@ -76,15 +76,14 @@ class TestK8Geometry:
 
 class TestK8RoutingDag:
     def test_switch_subgraph_is_acyclic(self, k8_topo):
-        check_switch_dag(k8_topo.graph)
+        check_switch_dag(k8_topo)
+        graph = as_networkx(k8_topo)
         switch_ids = [
             node_id
-            for node_id, data in k8_topo.graph.nodes(data=True)
+            for node_id, data in graph.nodes(data=True)
             if isinstance(data.get("obj"), Switch)
         ]
-        assert nx.is_directed_acyclic_graph(
-            k8_topo.graph.subgraph(switch_ids)
-        )
+        assert nx.is_directed_acyclic_graph(graph.subgraph(switch_ids))
 
     def test_hosts_are_forwarding_leaves(self, k8_topo):
         # The full graph has cycles (host send + receive roles), but a
@@ -126,9 +125,9 @@ class TestK8Recompute:
         topo = build_fat_tree(Simulator(seed=2), fat_tree_descriptor(8).params)
         dead_core = topo.switches["core0"]
         dead_links = set(dead_core.in_links) | set(dead_core.out_links)
-        clear_routes(topo.graph)
+        clear_routes(topo)
         installed = compute_routes(
-            topo.graph, topo.hosts, exclude_links=frozenset(dead_links)
+            topo, topo.hosts, exclude_links=frozenset(dead_links)
         )
         assert installed > 0
         for switch in topo.switches.values():

@@ -19,7 +19,7 @@ from repro.net import routing
 from repro.net.routing import check_switch_dag, clear_routes, compute_routes
 from repro.net.topology import Topology, TopologyParams, fat_tree_descriptor
 from repro.sim import Simulator
-from tests.reference import per_host_routes
+from tests.reference import as_networkx, per_host_routes
 
 
 def installed_tables(topo):
@@ -33,10 +33,12 @@ def assert_same_tables(topo, hosts=None, exclude_links=frozenset()):
     """Recompute with the given arguments and compare with the reference,
     key order and candidate order included."""
     hosts = topo.hosts if hosts is None else hosts
-    clear_routes(topo.graph)
-    compute_routes(topo.graph, hosts, exclude_links=exclude_links)
+    clear_routes(topo)
+    compute_routes(topo, hosts, exclude_links=exclude_links)
     got = installed_tables(topo)
-    want = per_host_routes(topo.graph, hosts, exclude_links=exclude_links)
+    want = per_host_routes(
+        as_networkx(topo), hosts, exclude_links=exclude_links
+    )
     for node_id in topo.switches:
         assert list(got[node_id]) == list(want[node_id]), node_id
         assert got[node_id] == want[node_id], node_id
@@ -104,12 +106,12 @@ class TestTableIdentity:
 
 
 def count_bfs_runs(topo, exclude_links=frozenset()):
-    clear_routes(topo.graph)
+    clear_routes(topo)
     with mock.patch.object(
         routing, "_reverse_bfs_distances",
         wraps=routing._reverse_bfs_distances,
     ) as bfs:
-        compute_routes(topo.graph, topo.hosts, exclude_links=exclude_links)
+        compute_routes(topo, topo.hosts, exclude_links=exclude_links)
     return bfs.call_count
 
 
@@ -137,9 +139,9 @@ class TestRecompute:
     def test_clear_and_recompute_idempotent(self, k8_topo):
         assert_same_tables(k8_topo)
         before = installed_tables(k8_topo)
-        clear_routes(k8_topo.graph)
+        clear_routes(k8_topo)
         assert not any(s.routes for s in k8_topo.switches.values())
-        installed = compute_routes(k8_topo.graph, k8_topo.hosts)
+        installed = compute_routes(k8_topo, k8_topo.hosts)
         assert installed_tables(k8_topo) == before
         assert installed == sum(
             len(links) for table in before.values() for links in table.values()
@@ -174,25 +176,25 @@ def irregular_topology():
 class TestIrregularGraphs:
     def test_non_destination_host_is_never_a_next_hop(self):
         topo, dst = irregular_topology()
-        compute_routes(topo.graph, [dst])
+        compute_routes(topo, [dst])
         assert topo.switches["far"].routes["dst"] == (topo.link("far", "mid"),)
         assert topo.switches["mid"].routes["dst"] == (topo.link("mid", "edge"),)
         assert topo.switches["edge"].routes["dst"] == (topo.link("edge", "dst"),)
         # The defect the per-host reference keeps: half of ``far``'s
         # ECMP share towards ``dst`` blackholes at the bystander.
-        reference = per_host_routes(topo.graph, [dst])
+        reference = per_host_routes(as_networkx(topo), [dst])
         assert topo.link("far", "bystander") in reference["far"]["dst"]
 
     def test_switch_cycle_rejected(self):
         topo, dst = irregular_topology()
         topo.add_link(topo.switches["edge"], topo.switches["far"], 100)
         with pytest.raises(ValueError, match="DAG"):
-            check_switch_dag(topo.graph)
+            check_switch_dag(topo)
         with pytest.raises(ValueError, match="DAG"):
-            compute_routes(topo.graph, [dst])
+            compute_routes(topo, [dst])
 
     def test_dead_link_breaking_the_cycle_is_accepted(self):
         topo, dst = irregular_topology()
         back = topo.add_link(topo.switches["edge"], topo.switches["far"], 100)
-        compute_routes(topo.graph, [dst], exclude_links={back})
+        compute_routes(topo, [dst], exclude_links={back})
         assert topo.switches["far"].routes["dst"] == (topo.link("far", "mid"),)

@@ -11,7 +11,10 @@ from repro.net import (
     build_single_rack,
     build_testbed,
 )
+from repro.net.link import Link
+from repro.net.nic import Host
 from repro.sim import Simulator
+from tests.reference import as_networkx
 
 
 def send_raw(topo, src_host, dst_host, payload_bytes=64):
@@ -38,8 +41,8 @@ class TestBuild:
         # through hosts (send + receive roles) are expected and harmless.
         from repro.net.routing import check_switch_dag
 
-        check_switch_dag(topo.graph)
-        assert not nx.is_directed_acyclic_graph(topo.graph)
+        check_switch_dag(topo)
+        assert not nx.is_directed_acyclic_graph(as_networkx(topo))
 
     def test_single_rack_shape(self):
         sim = Simulator()
@@ -54,6 +57,31 @@ class TestBuild:
         for host in topo.hosts:
             assert host.uplink is not None
             assert host.downlink is not None
+
+    def test_every_host_is_wired_to_its_tor_once(self):
+        # add_link attaches the link, then set_uplink / set_downlink
+        # used to attach it again; adjacency is out_links / in_links now.
+        built = [build_testbed(Simulator()), build_single_rack(Simulator())[0]]
+        for topo in built:
+            for host in topo.hosts:
+                assert host.out_links == [host.uplink]
+                assert host.in_links == [host.downlink]
+
+    def test_hand_wired_host_attaches_its_own_links(self):
+        sim = Simulator()
+        src, dst = Host(sim, "src"), Host(sim, "dst")
+        link = Link(sim, "src->dst", src, dst)
+        src.set_uplink(link)
+        dst.set_downlink(link)
+        assert src.out_links == [link] and src.in_links == []
+        assert dst.in_links == [link] and dst.out_links == []
+
+    def test_node_finds_switches_and_hosts(self):
+        topo = build_testbed(Simulator())
+        assert topo.node("core1") is topo.switches["core1"]
+        assert topo.node("h31") is topo.host(31)
+        with pytest.raises(KeyError):
+            topo.node("h32")
 
     def test_tor_of(self):
         sim = Simulator()

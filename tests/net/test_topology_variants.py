@@ -29,7 +29,7 @@ class TestLargerFatTree:
         assert len(topo.hosts) == 3 * 3 * 4
         # 9 ToRs + 6 spines split in halves + 4 cores.
         assert len(topo.switches) == 9 * 2 + 6 * 2 + 4
-        check_switch_dag(topo.graph)
+        check_switch_dag(topo)
 
     def test_cross_pod_reachability(self):
         sim = Simulator()
@@ -90,9 +90,9 @@ class TestRouteRecomputation:
         topo = build_fat_tree(sim, big_params())
         tor = topo.switches["tor0.0.up"]
         before = {dst: list(links) for dst, links in tor.routes.items()}
-        clear_routes(topo.graph)
+        clear_routes(topo)
         assert tor.routes == {}
-        compute_routes(topo.graph, topo.hosts)
+        compute_routes(topo, topo.hosts)
         after = tor.routes
         assert set(after) == set(before)
         for dst in before:
@@ -103,9 +103,9 @@ class TestRouteRecomputation:
     def test_exclusion_removes_paths(self):
         sim = Simulator()
         topo = build_fat_tree(sim, big_params())
-        clear_routes(topo.graph)
+        clear_routes(topo)
         victim = topo.link("tor0.0.up", "spine0.0.up")
-        compute_routes(topo.graph, topo.hosts, exclude_links={victim})
+        compute_routes(topo, topo.hosts, exclude_links={victim})
         tor = topo.switches["tor0.0.up"]
         for links in tor.routes.values():
             assert victim not in links

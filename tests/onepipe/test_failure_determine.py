@@ -1,8 +1,16 @@
 """Unit tests for the failure-determination graph algorithms (§5.2)."""
 
-import pytest
+import functools
+import os
+import subprocess
+import sys
 
-from repro.net import build_testbed
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.net import build_fat_tree, build_testbed
+from repro.net.topology import fat_tree_descriptor
 from repro.onepipe.failure import (
     DeadLinkReport,
     alive_nodes,
@@ -11,6 +19,7 @@ from repro.onepipe.failure import (
     failure_timestamp,
 )
 from repro.sim import Simulator
+from tests import reference
 
 
 @pytest.fixture()
@@ -31,22 +40,22 @@ def report(topo, src, dst, last_commit=100):
 
 class TestAliveNodes:
     def test_everything_alive_without_failures(self, topo):
-        alive = alive_nodes(topo.graph, set(), ROOTS)
+        alive = alive_nodes(topo, set(), ROOTS)
         assert set(hosts(topo)) <= alive
 
     def test_host_uplink_dead_disconnects_host(self, topo):
         dead = {topo.link("h3", "tor0.0.up")}
-        failed = disconnected_hosts(topo.graph, dead, ROOTS, hosts(topo))
+        failed = disconnected_hosts(topo, dead, ROOTS, hosts(topo))
         assert failed == {"h3"}
 
     def test_host_downlink_dead_disconnects_host(self, topo):
         dead = {topo.link("tor0.0.down", "h3")}
-        failed = disconnected_hosts(topo.graph, dead, ROOTS, hosts(topo))
+        failed = disconnected_hosts(topo, dead, ROOTS, hosts(topo))
         assert failed == {"h3"}
 
     def test_core_link_dead_disconnects_nobody(self, topo):
         dead = {topo.link("spine0.0.up", "core0")}
-        failed = disconnected_hosts(topo.graph, dead, ROOTS, hosts(topo))
+        failed = disconnected_hosts(topo, dead, ROOTS, hosts(topo))
         assert failed == set()
 
     def test_tor_uplinks_dead_disconnect_rack(self, topo):
@@ -54,7 +63,7 @@ class TestAliveNodes:
             topo.link("tor0.0.up", "spine0.0.up"),
             topo.link("tor0.0.up", "spine0.1.up"),
         }
-        failed = disconnected_hosts(topo.graph, dead, ROOTS, hosts(topo))
+        failed = disconnected_hosts(topo, dead, ROOTS, hosts(topo))
         assert failed == {f"h{i}" for i in range(8)}
 
 
@@ -62,7 +71,7 @@ class TestDetermine:
     def test_single_host_failure_timestamp(self, topo):
         reports = [report(topo, "h3", "tor0.0.up", last_commit=777)]
         failed, timestamps = determine(
-            topo.graph, reports, ROOTS, hosts(topo)
+            topo, reports, ROOTS, hosts(topo)
         )
         assert failed == {"h3"}
         assert timestamps["h3"] == 777
@@ -73,7 +82,7 @@ class TestDetermine:
             report(topo, "tor0.0.up", "spine0.1.up", last_commit=620),
         ]
         failed, timestamps = determine(
-            topo.graph, reports, ROOTS, hosts(topo)
+            topo, reports, ROOTS, hosts(topo)
         )
         assert failed == {f"h{i}" for i in range(8)}
         assert all(timestamps[h] == 620 for h in failed)
@@ -81,7 +90,7 @@ class TestDetermine:
     def test_no_failure_empty_result(self, topo):
         reports = [report(topo, "spine0.0.up", "core0", last_commit=42)]
         failed, timestamps = determine(
-            topo.graph, reports, ROOTS, hosts(topo)
+            topo, reports, ROOTS, hosts(topo)
         )
         assert failed == set()
         assert timestamps == {}
@@ -92,7 +101,7 @@ class TestDetermine:
             report(topo, "h20", "tor1.0.up", last_commit=900),
         ]
         failed, timestamps = determine(
-            topo.graph, reports, ROOTS, hosts(topo)
+            topo, reports, ROOTS, hosts(topo)
         )
         assert failed == {"h0", "h20"}
         assert timestamps["h0"] == 100
@@ -128,7 +137,7 @@ class TestNonSeparablePartition:
             report(topo, "spine1.1.up", "core1", last_commit=400),
         ]
         failed, timestamps = determine(
-            topo.graph, reports, ROOTS, hosts(topo)
+            topo, reports, ROOTS, hosts(topo)
         )
         assert failed == set(hosts(topo))
         # Pods are separate weak components once the cores are excluded,
@@ -148,7 +157,7 @@ class TestNonSeparablePartition:
             report(topo, "core1", "spine1.1.down", last_commit=450),
         ]
         failed, timestamps = determine(
-            topo.graph, reports, ROOTS, hosts(topo)
+            topo, reports, ROOTS, hosts(topo)
         )
         assert failed == set(hosts(topo))
         assert all(timestamps[h] == 0 for h in hosts(topo))
@@ -187,7 +196,7 @@ class TestLyingReports:
             DeadLinkReport("tor0.0.up", uplink, 5),
         ]
         failed, timestamps = determine(
-            topo.graph, reports, ROOTS, hosts(topo)
+            topo, reports, ROOTS, hosts(topo)
         )
         assert failed == {"h3"}
         assert timestamps["h3"] == 700
@@ -216,3 +225,61 @@ class TestLyingReports:
         assert equivocal_reports(
             [DeadLinkReport("tor0.0.up", link, 100)]
         ) == {}
+
+
+@functools.lru_cache(maxsize=None)
+def built(name):
+    """A topology (Determine only reads it), its networkx twin and its
+    roots."""
+    if name == "testbed":
+        topo = build_testbed(Simulator(seed=1))
+    else:
+        topo = build_fat_tree(Simulator(seed=1), fat_tree_descriptor(4).params)
+    roots = [node_id for node_id in topo.switches if node_id.startswith("core")]
+    return topo, reference.as_networkx(topo), roots
+
+
+class TestAgainstNetworkxReference:
+    """The plain-BFS Determine against the networkx implementation it
+    replaced (``tests/reference.py``): any dead-link set — loopbacks,
+    repeated links with conflicting barriers and partitions included —
+    fails the same hosts at the same timestamps."""
+
+    @pytest.mark.parametrize("name", ["testbed", "k4"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        picks=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+            max_size=12,
+        )
+    )
+    def test_same_failed_hosts_and_timestamps(self, name, picks):
+        topo, graph, roots = built(name)
+        links = list(topo.links.values())
+        reports = [
+            DeadLinkReport("tester", links[index % len(links)], last_commit)
+            for index, last_commit in picks
+        ]
+        dead = {r.link for r in reports}
+        want_alive = reference.alive_digraph(graph, dead)
+        assert alive_nodes(topo, dead, roots) == (
+            reference.can_send_to_roots(want_alive, roots)
+            & reference.can_receive_from_roots(want_alive, roots)
+        )
+        got = determine(topo, reports, roots, hosts(topo))
+        assert got == reference.determine(graph, reports, roots, hosts(topo))
+
+    @pytest.mark.parametrize("hashseed", ["0", "1"])
+    def test_under_either_hash_seed(self, hashseed):
+        # Node ids are strings and both implementations keep them in
+        # sets: rerun the property in an interpreter of each hash seed.
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                f"{__file__}::{type(self).__name__}"
+                "::test_same_failed_hosts_and_timestamps",
+            ],
+            env=dict(os.environ, PYTHONHASHSEED=hashseed),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr

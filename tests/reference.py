@@ -19,10 +19,20 @@ per (switch, host).  It returns tables instead of installing them, and
 keeps the defect the class router fixed (a non-destination host at
 distance d-1 is offered as a next hop), so the two agree exactly on
 every graph where switches have no such host successor.
+
+**Determine on networkx.**  :func:`determine` (with
+:func:`alive_digraph`, :func:`can_send_to_roots` and
+:func:`can_receive_from_roots`) is ``repro.onepipe.failure`` as it was
+while the runtime kept a ``networkx.DiGraph`` beside the topology, moved
+here verbatim; the plain-BFS version is checked against it.
+
+Both references take the ``DiGraph`` the topology used to carry;
+:func:`as_networkx` rebuilds it.  ``networkx`` is a ``dev`` dependency
+for this file alone — nothing under ``src/`` imports it.
 """
 
 from collections import deque
-from typing import Dict, Iterable, List
+from typing import Dict, Iterable, List, Set, Tuple
 from unittest import mock
 
 import networkx as nx
@@ -31,6 +41,7 @@ from repro.net.link import Link
 from repro.net.nic import Host
 from repro.net.switch import Switch
 from repro.onepipe.cluster import OnePipeCluster
+from repro.onepipe.failure import DeadLinkReport, failure_timestamp
 
 
 def on_packet_beacons(fn, *args, **kwargs):
@@ -41,6 +52,18 @@ def on_packet_beacons(fn, *args, **kwargs):
         OnePipeCluster, "_install_fabric", lambda cluster: None
     ):
         return fn(*args, **kwargs)
+
+
+def as_networkx(topo) -> nx.DiGraph:
+    """The graph ``Topology`` used to hold: one node per switch and host
+    (``obj=`` the node), one edge per link in ``topo.links`` order
+    (``link=`` the link)."""
+    graph = nx.DiGraph()
+    for node in (*topo.switches.values(), *topo.hosts):
+        graph.add_node(node.node_id, obj=node)
+    for link in topo.links.values():
+        graph.add_edge(link.src.node_id, link.dst.node_id, link=link)
+    return graph
 
 
 def reverse_bfs_distances(graph: nx.DiGraph, dst: str) -> Dict[str, int]:
@@ -88,3 +111,68 @@ def per_host_routes(
                 if dist.get(nbr, -1) == node_dist - 1:
                     tables[node_id].setdefault(dst, []).append(data["link"])
     return tables
+
+
+def alive_digraph(graph: nx.DiGraph, dead_links: Set[Link]) -> nx.DiGraph:
+    """The routing graph with dead links removed (directed)."""
+    alive = nx.DiGraph()
+    alive.add_nodes_from(graph.nodes)
+    for u, v, data in graph.edges(data=True):
+        if data.get("link") not in dead_links:
+            alive.add_edge(u, v)
+    return alive
+
+
+def can_send_to_roots(alive: nx.DiGraph, roots: Iterable[str]) -> Set[str]:
+    """Nodes with a directed path *to* at least one root."""
+    senders: Set[str] = set()
+    for root in roots:
+        if root not in alive:
+            continue
+        senders.add(root)
+        senders.update(nx.ancestors(alive, root))
+    return senders
+
+
+def can_receive_from_roots(alive: nx.DiGraph, roots: Iterable[str]) -> Set[str]:
+    """Nodes with a directed path *from* at least one root."""
+    receivers: Set[str] = set()
+    for root in roots:
+        if root not in alive:
+            continue
+        receivers.add(root)
+        receivers.update(nx.descendants(alive, root))
+    return receivers
+
+
+def determine(
+    graph: nx.DiGraph,
+    reports: List[DeadLinkReport],
+    roots: Iterable[str],
+    host_ids: Iterable[str],
+) -> Tuple[Set[str], Dict[str, int]]:
+    """The Determine step: failed hosts and per-host failure timestamps."""
+    dead_links = {report.link for report in reports}
+    alive = alive_digraph(graph, dead_links)
+    send_ok = can_send_to_roots(alive, roots)
+    recv_ok = can_receive_from_roots(alive, roots)
+    ok = send_ok & recv_ok
+    failed_hosts = {h for h in host_ids if h not in ok}
+    if not failed_hosts:
+        return set(), {}
+    # Group failed nodes into weakly connected regions so each region's
+    # timestamp is the max last-commit across its own cut.  The region
+    # that matters for the cut is the send-side one: the dead links the
+    # correct neighbors reported originate there.
+    failed_nodes = {node for node in graph.nodes if node not in send_ok}
+    failed_nodes.update(h for h in failed_hosts)
+    sub = alive.subgraph(failed_nodes).to_undirected(as_view=False)
+    timestamps: Dict[str, int] = {}
+    for component in nx.connected_components(sub):
+        ts = failure_timestamp(set(component), reports)
+        for node in component:
+            if node in failed_hosts:
+                timestamps[node] = ts
+    for host_id in failed_hosts:
+        timestamps.setdefault(host_id, 0)
+    return failed_hosts, timestamps
