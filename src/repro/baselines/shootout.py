@@ -36,8 +36,6 @@ degraded   bandwidth/latency degradation plus bursty loss
 
 from __future__ import annotations
 
-import json
-import os
 from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -47,18 +45,22 @@ from repro.baselines.lamport import LamportBroadcast
 from repro.baselines.sequencer import SequencerBroadcast
 from repro.baselines.switchpaxos import SwitchPaxosBroadcast
 from repro.baselines.token import TokenRingBroadcast
-from repro.chaos.campaign import EPISODE_CLOCK_SYNC_NS
 from repro.chaos.monitor import InvariantMonitor
 from repro.chaos.schedule import (
     ChaosInjector,
     ChaosSchedule,
     DEFAULT_FAULT_WEIGHTS,
 )
-from repro.net.topology import TopologyParams, build_fat_tree
+from repro.net.topology import (
+    EPISODE_CLOCK_SYNC_NS,
+    TopologyParams,
+    build_fat_tree,
+)
 from repro.obs.export import metrics_summary
 from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.parallel import run_ordered
 from repro.sim import Simulator
+from repro.sim.randomness import episode_seed
 from repro.sim.stats import Histogram
 
 PROTOCOLS = (
@@ -173,8 +175,7 @@ class ShootoutRunner:
 
     # ------------------------------------------------------------------
     def scenario_seed(self, scenario: str) -> int:
-        index = SCENARIO_NAMES.index(scenario)
-        return self.seed * 1_000_003 + index
+        return episode_seed(self.seed, SCENARIO_NAMES.index(scenario))
 
     def _scenario_spec(self, scenario: str) -> Tuple[int, tuple]:
         for name, n_faults, weights in SCENARIOS:
@@ -535,13 +536,3 @@ def _cell_worker(payload) -> Dict[str, Any]:
     """Run one cell from explicit knobs (module-level so it pickles)."""
     knobs, scenario, protocol = payload
     return ShootoutRunner(**knobs).run_cell(scenario, protocol)
-
-
-def write_report(report: Dict[str, Any], path: str) -> None:
-    """Write a shootout report as stable (byte-identical) JSON."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

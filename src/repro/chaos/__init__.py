@@ -9,7 +9,7 @@ runner that drives all three switch incarnations through randomized
 fault schedules and reports violations with replayable seeds.
 """
 
-from repro.chaos.campaign import CampaignRunner, TrafficDriver, write_report
+from repro.chaos.campaign import CampaignRunner, TrafficDriver
 from repro.chaos.monitor import InvariantMonitor, InvariantViolation
 from repro.chaos.recorder import Recorder
 from repro.chaos.schedule import ChaosInjector, ChaosSchedule, FaultEvent
@@ -23,5 +23,4 @@ __all__ = [
     "InvariantViolation",
     "Recorder",
     "TrafficDriver",
-    "write_report",
 ]

@@ -1,7 +1,7 @@
 """Seeded chaos campaigns over the 1Pipe cluster.
 
 A campaign is N independent *episodes*.  Episode ``i`` builds a fresh
-simulator from the deterministic episode seed ``seed * 1_000_003 + i``,
+simulator from the deterministic seed ``episode_seed(seed, i)``,
 brings up a full testbed cluster in incarnation ``MODES[i % 3]``,
 attaches an :class:`~repro.chaos.monitor.InvariantMonitor`, arms a
 seeded :class:`~repro.chaos.schedule.ChaosSchedule`, and drives random
@@ -17,23 +17,19 @@ violation can be replayed from the episode seed it names.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.chaos.monitor import InvariantMonitor
 from repro.chaos.schedule import ChaosInjector, ChaosSchedule
 from repro.consensus.raft import RaftGroup, RaftReplicator
-from repro.net.topology import build_testbed
+from repro.net.topology import build_episode_topology
 from repro.obs.export import metrics_summary
 from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.onepipe.config import MODES
 from repro.parallel import run_ordered
 from repro.sim import Simulator
+from repro.sim.randomness import episode_seed
 
-# Sync every 250 us instead of the paper's 125 ms so clock outages and
-# step faults interact with multiple sync epochs inside an episode.
-EPISODE_CLOCK_SYNC_NS = 250_000
 RAFT_ELECTION_WARMUP_NS = 2_000_000
 
 
@@ -139,13 +135,10 @@ class CampaignRunner:
         self.progress = progress
 
     # ------------------------------------------------------------------
-    def episode_seed(self, index: int) -> int:
-        return self.seed * 1_000_003 + index
-
     def run_episode(self, index: int) -> Dict[str, Any]:
-        episode_seed = self.episode_seed(index)
+        seed = episode_seed(self.seed, index)
         mode = self.modes[index % len(self.modes)]
-        sim = Simulator(seed=episode_seed)
+        sim = Simulator(seed=seed)
         if self.metrics:
             # Enable in place before any component is built (components
             # cache the registry object at construction time).
@@ -158,9 +151,7 @@ class CampaignRunner:
             sim.run(until=RAFT_ELECTION_WARMUP_NS)
             replicator = RaftReplicator(raft_group)
 
-        topology = build_testbed(
-            sim, clock_sync_interval_ns=EPISODE_CLOCK_SYNC_NS
-        )
+        topology = build_episode_topology(sim, "testbed")
         cluster = OnePipeCluster(
             sim,
             n_processes=self.n_processes,
@@ -172,11 +163,11 @@ class CampaignRunner:
             from repro.byz.monitor import ByzantineMonitor
 
             monitor = ByzantineMonitor(
-                cluster, seed=episode_seed, episode=index, mode=mode
+                cluster, seed=seed, episode=index, mode=mode
             )
         else:
             monitor = InvariantMonitor(
-                cluster, seed=episode_seed, episode=index, mode=mode
+                cluster, seed=seed, episode=index, mode=mode
             )
         schedule = ChaosSchedule.generate(
             sim.rng(f"chaos.schedule.{index}"),
@@ -200,11 +191,11 @@ class CampaignRunner:
         sim.run(until=sim.now + self.horizon_ns + self.drain_ns)
         monitor.final_check()
         return self._episode_report(
-            index, mode, episode_seed, cluster, monitor, schedule
+            index, mode, seed, cluster, monitor, schedule
         )
 
     def _episode_report(
-        self, index, mode, episode_seed, cluster, monitor, schedule
+        self, index, mode, seed, cluster, monitor, schedule
     ) -> Dict[str, Any]:
         topology = cluster.topology
         controller = cluster.controller
@@ -236,7 +227,7 @@ class CampaignRunner:
         report: Dict[str, Any] = {
             "episode": index,
             "mode": mode,
-            "seed": episode_seed,
+            "seed": seed,
             "faults": schedule.to_list(),
             "violations": [v.to_dict() for v in monitor.violations],
             "scatterings_sent": monitor.total_sent_scatterings,
@@ -363,13 +354,3 @@ def _episode_worker(payload) -> Dict[str, Any]:
     """Run one episode from explicit knobs (module-level so it pickles)."""
     knobs, index = payload
     return CampaignRunner(**knobs).run_episode(index)
-
-
-def write_report(report: Dict[str, Any], path: str) -> None:
-    """Write a campaign report as stable (byte-identical) JSON."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -21,7 +21,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.net.topology import EPISODE_SCALES
+from repro.obs.export import write_json
 from repro.onepipe import OnePipeCluster, OnePipeConfig
+from repro.onepipe.config import ALL_MODES, MODES
 from repro.sim import Simulator
 
 
@@ -186,8 +189,7 @@ def cmd_snapshot(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    from repro.chaos import CampaignRunner, write_report
-    from repro.onepipe.config import ALL_MODES, MODES
+    from repro.chaos import CampaignRunner
 
     # Adversarial campaigns cycle the BFT incarnation too; the plain
     # default keeps the historical three-mode cycle byte-identical.
@@ -219,7 +221,7 @@ def cmd_chaos(args) -> int:
         progress=progress,
     )
     report = runner.run()
-    write_report(report, args.out)
+    write_json(report, args.out)
     print(f"{args.episodes} episodes, "
           f"{report['messages_delivered']} messages delivered, "
           f"{report['total_violations']} invariant violations "
@@ -232,11 +234,7 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_observe(args) -> int:
-    from repro.obs.export import (
-        validate_chrome_trace,
-        validate_metrics_report,
-        write_json,
-    )
+    from repro.obs.export import validate_chrome_trace, validate_metrics_report
     from repro.obs.runner import run_observe
 
     report, trace, summary = run_observe(
@@ -276,7 +274,6 @@ def cmd_hyperscale(args) -> int:
     from dataclasses import replace
 
     from repro.hybrid import SCENARIOS, run_hyperscale
-    from repro.obs.export import write_json
 
     if args.list:
         for name, scenario in sorted(SCENARIOS.items()):
@@ -322,8 +319,7 @@ def cmd_hyperscale(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from repro.onepipe.config import ALL_MODES, MODES
-    from repro.verify import VerifyRunner, write_report
+    from repro.verify import VerifyRunner
 
     if args.mode == "all":
         modes = ALL_MODES if args.adversarial else MODES
@@ -342,7 +338,7 @@ def cmd_verify(args) -> int:
         progress=print if not args.quiet else None,
     )
     report = runner.run()
-    write_report(report, args.out)
+    write_json(report, args.out)
     print(f"{report['episodes_run']} episode runs "
           f"({args.episodes} episodes x {len(modes)} modes), "
           f"{report['divergence_count']} oracle divergences, "
@@ -365,12 +361,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_shootout(args) -> int:
-    from repro.baselines.shootout import (
-        PROTOCOLS,
-        SCENARIO_NAMES,
-        ShootoutRunner,
-        write_report,
-    )
+    from repro.baselines.shootout import PROTOCOLS, SCENARIO_NAMES, ShootoutRunner
 
     protocols = (
         tuple(args.protocols.split(",")) if args.protocols else PROTOCOLS
@@ -399,7 +390,7 @@ def cmd_shootout(args) -> int:
         progress=progress if not args.quiet else None,
     )
     report = runner.run()
-    write_report(report, args.out)
+    write_json(report, args.out)
     n_cells = len(protocols) * len(scenarios)
     print(f"{n_cells} cells ({len(scenarios)} scenarios x "
           f"{len(protocols)} protocols), "
@@ -425,7 +416,7 @@ def cmd_shootout(args) -> int:
 
 
 def cmd_workload(args) -> int:
-    from repro.workload import get_scenario, run_scenario, write_report
+    from repro.workload import get_scenario, run_scenario
 
     out = args.out or f"results/workload_{args.scenario}.json"
     scenario = get_scenario(args.scenario)
@@ -435,7 +426,7 @@ def cmd_workload(args) -> int:
         jobs=args.jobs,
         faults=args.faults,
     )
-    write_report(report, out)
+    write_json(report, out)
     totals = report["totals"]
     utilization = report["utilization"]
     print(f"workload {scenario.name}: app={scenario.app}, "
@@ -473,9 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("topology", help="print the testbed topology")
 
     latency = sub.add_parser("latency", help="delivery latency probe")
-    latency.add_argument("--mode", default="chip",
-                         choices=["chip", "switch_cpu", "host_delegate",
-                                  "bft"])
+    latency.add_argument("--mode", default="chip", choices=ALL_MODES)
     latency.add_argument("--processes", type=int, default=32)
     latency.add_argument("--reliable", action="store_true")
     latency.add_argument("--beacon-us", type=int, default=3)
@@ -503,9 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--processes", type=int, default=16)
     chaos.add_argument("--faults", type=int, default=4,
                        help="faults injected per episode")
-    chaos.add_argument("--mode", default="all",
-                       choices=["all", "chip", "switch_cpu", "host_delegate",
-                                "bft"])
+    chaos.add_argument("--mode", default="all", choices=("all",) + ALL_MODES)
     chaos.add_argument("--adversarial", action="store_true",
                        help="mix Byzantine fault kinds (lying senders, "
                             "corrupt beacons, equivocation, forged notices) "
@@ -529,10 +516,8 @@ def build_parser() -> argparse.ArgumentParser:
     observe.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                          help="run seed (overrides the global --seed)")
     observe.add_argument("--hosts", type=int, default=8, choices=[8, 32],
-                         help="fat-tree size (8: verify-small, 32: testbed)")
-    observe.add_argument("--mode", default="chip",
-                         choices=["chip", "switch_cpu", "host_delegate",
-                                  "bft"])
+                         help="fat-tree size (8: small episode fabric, 32: testbed)")
+    observe.add_argument("--mode", default="chip", choices=ALL_MODES)
     observe.add_argument("--horizon-us", type=int, default=1000,
                          help="traffic window (microseconds)")
     observe.add_argument("--drain-us", type=int, default=1000,
@@ -619,15 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--faults", type=int, default=3,
                         help="faults injected per episode")
     verify.add_argument("--mode", "--incarnation", default="all",
-                        choices=["all", "chip", "switch_cpu", "host_delegate",
-                                 "bft"])
+                        choices=("all",) + ALL_MODES)
     verify.add_argument("--adversarial", action="store_true",
                         help="mix Byzantine fault kinds into the fuzzed "
                              "episodes and run the oracle's attack-mode "
                              "checks; with --mode all, also cycles the bft "
                              "incarnation (see docs/BYZANTINE.md)")
-    verify.add_argument("--scale", default="small",
-                        choices=["small", "testbed"],
+    verify.add_argument("--scale", default="small", choices=EPISODE_SCALES,
                         help="episode topology (small: 8-host fat-tree)")
     verify.add_argument("--no-shrink", action="store_true",
                         help="skip shrinking the first failing episode")

@@ -28,13 +28,13 @@ what the all-hot byte-identity test pins (``tests/hybrid/test_engine.py``).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.hybrid.fabric import ColdFabricConfig, run_cold_fabric, summarize_cold
 from repro.hybrid.fidelity import FidelityMap
 from repro.net.topology import (
+    EPISODE_CLOCK_SYNC_NS,
     FatTreeDescriptor,
     TopologyParams,
     build_fat_tree,
@@ -44,7 +44,8 @@ from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.onepipe.config import MODE_CHIP
 from repro.sim import Simulator
 from repro.sim.randomness import RngStreams
-from repro.verify.episodes import SendOp, extract_observation
+from repro.sim.stats import Histogram
+from repro.verify.episodes import SendOp, drive_sends, extract_observation
 from repro.verify.oracle import ReferenceOracle
 
 HYBRID_SCHEMA = "repro.hybrid/1"
@@ -52,10 +53,6 @@ HYBRID_SCHEMA = "repro.hybrid/1"
 # Bounded fidelity fixed-point: promotion is monotone, so in the worst
 # case every pod goes hot; the cap only bounds *re-simulation* cost.
 MAX_PASSES = 4
-
-# Hot-island clock sync cadence (same rationale as the verify harness:
-# several sync epochs inside one short scenario).
-ISLAND_CLOCK_SYNC_NS = 250_000
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ def island_params(
         base,
         n_pods=n_island_pods,
         n_cores=n_cores,
-        clock_sync_interval_ns=ISLAND_CLOCK_SYNC_NS,
+        clock_sync_interval_ns=EPISODE_CLOCK_SYNC_NS,
     )
 
 
@@ -215,13 +212,8 @@ def _run_island(
     or all-1000 schedules touch nothing, which is what makes the
     all-hot run bit-equal to a plain packet-level run.
     """
-    from repro.onepipe.sender import ProcessSender
-
     sim = Simulator(seed=scenario.seed)
     sim.tracer.enabled = True
-    # Same pinning as the verify harness: message ids are process-global.
-    ProcessSender._msg_ids = itertools.count(1)
-
     topology = build_fat_tree(sim, island_params(descriptor, n_island_pods))
     placement = watched_placement(
         descriptor, min(scenario.hot_pods, n_island_pods), scenario.n_processes
@@ -248,24 +240,7 @@ def _run_island(
                 window * window_ns, _degrade_links, core_links, cong_milli
             )
 
-    controller = cluster.controller
-    records: List[Tuple[SendOp, Any]] = []
-    skipped = [0]
-
-    def issue(op: SendOp) -> None:
-        endpoint = cluster.endpoint(op.src)
-        if (
-            endpoint.closed
-            or endpoint.agent.host.failed
-            or (controller is not None and op.src in controller.failed_procs)
-        ):
-            skipped[0] += 1
-            return
-        send = endpoint.reliable_send if op.reliable else endpoint.unreliable_send
-        records.append((op, send(list(op.entries))))
-
-    for op in island_traffic(scenario, horizon_ns):
-        sim.schedule_at(op.at, issue, op)
+    records, skipped = drive_sends(cluster, island_traffic(scenario, horizon_ns))
     sim.run(until=horizon_ns + scenario.drain_ns)
 
     observation = extract_observation(sim, cluster, records)
@@ -277,28 +252,37 @@ def _run_island(
         if scattering is not None
         for msg in scattering.msgs
     }
-    latencies = sorted(
+    latencies = [
         delivery.time - sent_at[delivery.msg_id]
         for trace in observation.deliveries.values()
         for delivery in trace
         if delivery.msg_id in sent_at
-    )
-    delivered = len(latencies)
+    ]
     return {
         "hosts": len(topology.hosts),
         "switches": len(topology.switches),
         "pods": n_island_pods,
         "sends_issued": len(records),
-        "sends_skipped": skipped[0],
-        "deliveries": delivered,
+        "sends_skipped": len(skipped),
+        "deliveries": len(latencies),
         "oracle_divergences": len(divergences),
-        "mean_delivery_ns": (sum(latencies) // delivered) if delivered else 0,
-        "p99_delivery_ns": (
-            latencies[(99 * (delivered - 1)) // 100] if delivered else 0
-        ),
-        "max_delivery_ns": latencies[-1] if delivered else 0,
+        **delivery_latency_summary(latencies),
         "events_processed": sim.events_processed,
         "sim_now_ns": sim.now,
+    }
+
+
+def delivery_latency_summary(latencies: List[int]) -> Dict[str, int]:
+    """Mean, nearest-rank p99 and max of the island's delivery latencies
+    (all 0 when nothing was delivered)."""
+    if not latencies:
+        return {"mean_delivery_ns": 0, "p99_delivery_ns": 0, "max_delivery_ns": 0}
+    hist = Histogram()
+    hist.extend(latencies)
+    return {
+        "mean_delivery_ns": sum(latencies) // len(latencies),
+        "p99_delivery_ns": hist.percentile(99),
+        "max_delivery_ns": hist.max(),
     }
 
 

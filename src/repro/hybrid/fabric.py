@@ -54,7 +54,6 @@ class ColdFabricConfig:
     core_uplinks: int               # core-attach stripes per pod
     fabric_link_gbps: int
     host_link_gbps: int = 100
-    topology: str = "fat_tree"
 
     def core_capacity_bytes(self) -> int:
         # gbps/8 = bytes per ns; topology params carry gbps as floats,
@@ -156,12 +155,8 @@ def _step_pod(
     # flows (in both directions) share the pod's core stripes.
     remote_out = n_flows_remote = config.flows_per_window - local_flows
     core_conc = n_flows_remote + in_flows
-    cong_edge_milli = flow.congestion_milli(
-        n_flows, config.topology, config.n_hosts
-    )
-    cong_core_milli = flow.congestion_milli(
-        core_conc, config.topology, config.n_hosts
-    )
+    cong_edge_milli = flow.congestion_milli(n_flows, config.n_hosts)
+    cong_core_milli = flow.congestion_milli(core_conc, config.n_hosts)
 
     offered_core = out_cold_bytes + to_hot_bytes + in_bytes
     effective_cap = max(

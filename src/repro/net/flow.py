@@ -8,8 +8,8 @@ approach of "Scalable Tail Latency Estimation for Data Center Networks"
 
 - **Congestion factor** — concurrent flows sharing a link class degrade
   each other beyond the fair bandwidth split:
-  ``1 + δ·log(1 + concurrent)``, with a topology-dependent δ and an
-  extra saturation term at very large scale.
+  ``1 + δ·log(1 + concurrent)``, with the fat-tree δ and an extra
+  saturation term at very large scale.
 - **Straggler factor** — a synchronized wave (a §4.2 beacon barrier) is
   bounded by its slowest participant; the expected overhead grows with
   scale but decays into a bounded ceiling (tail-of-maxima saturates).
@@ -30,15 +30,10 @@ from typing import Iterable
 
 from repro.net.packet import BEACON_BYTES
 
-# Topology-specific congestion coefficients: how much concurrent flows
-# on a shared link class hurt each other beyond the fair share (the
-# fat-tree value reflects its full bisection bandwidth).
-TOPOLOGY_DELTA = {
-    "fat_tree": 0.10,
-    "torus": 0.15,
-    "dragonfly": 0.12,
-    "ring": 0.18,
-}
+# Congestion coefficient δ: how much concurrent flows on a shared link
+# class hurt each other beyond the fair share (the fat-tree value, which
+# reflects its full bisection bandwidth).
+CONGESTION_DELTA = 0.10
 
 # Scale beyond which network saturation adds congestion on top of the
 # concurrency term, and its per-doubling coefficient.
@@ -51,11 +46,7 @@ STRAGGLER_CEILING = 0.15
 STRAGGLER_TAU_HOSTS = 1024.0
 
 
-def congestion_factor(
-    concurrent: int,
-    topology: str = "fat_tree",
-    n_hosts: int = 0,
-) -> float:
+def congestion_factor(concurrent: int, n_hosts: int = 0) -> float:
     """Bandwidth-degradation multiplier for ``concurrent`` flows.
 
     Returns 1.0 for a lone flow; grows logarithmically in the number of
@@ -68,18 +59,13 @@ def congestion_factor(
     if concurrent <= 1:
         factor = 1.0
     else:
-        delta = TOPOLOGY_DELTA.get(topology, TOPOLOGY_DELTA["fat_tree"])
-        factor = 1.0 + delta * math.log(1 + concurrent)
+        factor = 1.0 + CONGESTION_DELTA * math.log(1 + concurrent)
     if n_hosts > SATURATION_HOSTS:
         factor += SATURATION_COEFF * math.log2(n_hosts / SATURATION_HOSTS)
     return factor
 
 
-def congestion_milli(
-    concurrent: int,
-    topology: str = "fat_tree",
-    n_hosts: int = 0,
-) -> int:
+def congestion_milli(concurrent: int, n_hosts: int = 0) -> int:
     """:func:`congestion_factor` quantized to integer milli-units.
 
     The sharded cold fabric does all bandwidth math in integers so that
@@ -87,7 +73,7 @@ def congestion_milli(
     this is the only place a float enters that path, and it leaves as a
     platform-stable ``round``.
     """
-    return round(congestion_factor(concurrent, topology, n_hosts) * 1000)
+    return round(congestion_factor(concurrent, n_hosts) * 1000)
 
 
 def straggler_factor(n_hosts: int) -> float:

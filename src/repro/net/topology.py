@@ -428,6 +428,36 @@ def build_testbed(
     return build_fat_tree(sim, params)
 
 
+# Campaign episodes sync every 250 us instead of the paper's 125 ms, so
+# clock outages and step faults meet several sync epochs per episode.
+EPISODE_CLOCK_SYNC_NS = 250_000
+EPISODE_SCALES = ("small", "testbed")
+
+
+def build_episode_topology(sim: Simulator, scale: str) -> Topology:
+    """The network a campaign episode runs on (chaos, verify, observe,
+    workload).
+
+    ``small`` is a 3-tier, 8-host fat-tree — multi-hop paths with real
+    reordering potential but ~6x cheaper to simulate than the paper
+    testbed.  ``testbed`` is the paper's 32-host evaluation fabric.
+    """
+    if scale == "small":
+        return build_fat_tree(sim, TopologyParams(
+            n_pods=2,
+            tors_per_pod=2,
+            spines_per_pod=1,
+            n_cores=1,
+            hosts_per_tor=2,
+            clock_sync_interval_ns=EPISODE_CLOCK_SYNC_NS,
+        ))
+    if scale == "testbed":
+        return build_testbed(sim, clock_sync_interval_ns=EPISODE_CLOCK_SYNC_NS)
+    raise ValueError(
+        f"unknown scale {scale!r}, expected one of {EPISODE_SCALES}"
+    )
+
+
 def build_single_rack(
     sim: Simulator, n_hosts: int = 8, **overrides
 ) -> Tuple[Topology, List[Host]]:

@@ -20,6 +20,7 @@ to emit artifacts that fail their validator.
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -146,7 +147,11 @@ _TRACE_PHASES = {"i", "C", "M"}
 
 
 def write_json(obj: Any, path: str) -> None:
-    """Stable JSON dump: sorted keys, 2-space indent, trailing newline."""
+    """Stable JSON dump: sorted keys, 2-space indent, trailing newline.
+    Creates the parent directory if it is missing."""
+    directory = os.path.dirname(path)
+    if directory:
+        os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -21,41 +21,15 @@ would create a cycle (simulator -> obs.registry -> ... -> simulator).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Tuple
 
 from repro.chaos.campaign import TrafficDriver
 from repro.chaos.schedule import ChaosInjector, ChaosSchedule
-from repro.net.topology import TopologyParams, build_fat_tree
+from repro.net.topology import build_episode_topology
 from repro.obs.export import build_chrome_trace, build_metrics_report
 from repro.obs.sampler import DEFAULT_SAMPLE_INTERVAL_NS, Sampler
 from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.sim import Simulator
-
-# Sync fast enough that an observation window spans many sync epochs
-# (matches the chaos campaign / verify harness choice).
-OBSERVE_CLOCK_SYNC_NS = 250_000
-
-
-def observe_topology_params(hosts: int) -> TopologyParams:
-    """Fat-tree parameters for the requested host count.
-
-    8 hosts is the verify harness's small 3-tier fabric; 32 hosts is the
-    paper's testbed shape.  Anything else is rejected rather than
-    silently rounded.
-    """
-    if hosts == 8:
-        return TopologyParams(
-            n_pods=2,
-            tors_per_pod=2,
-            spines_per_pod=1,
-            n_cores=1,
-            hosts_per_tor=2,
-            clock_sync_interval_ns=OBSERVE_CLOCK_SYNC_NS,
-        )
-    if hosts == 32:
-        return TopologyParams(clock_sync_interval_ns=OBSERVE_CLOCK_SYNC_NS)
-    raise ValueError(f"unsupported host count {hosts}: expected 8 or 32")
 
 
 def run_observe(
@@ -69,20 +43,18 @@ def run_observe(
     trace_limit: int = 200_000,
 ) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
     """Run one instrumented episode; return (metrics_report, trace, summary)."""
+    # 8 hosts: the small episode fabric; 32: the paper testbed.  Anything
+    # else is rejected rather than silently rounded.
+    scale = {8: "small", 32: "testbed"}.get(hosts)
+    if scale is None:
+        raise ValueError(f"unsupported host count {hosts}: expected 8 or 32")
     sim = Simulator(seed=seed)
     # Enable in place BEFORE building the cluster: components cache the
     # tracer/registry objects at construction time.
     sim.tracer.enabled = True
     sim.tracer.limit = trace_limit
     sim.metrics.enabled = True
-    # Pin the process-wide message-id counter so the run is byte-identical
-    # regardless of what else ran in this Python process (same trick as
-    # repro.verify.episodes.replay_episode).
-    from repro.onepipe.sender import ProcessSender
-
-    ProcessSender._msg_ids = itertools.count(1)
-
-    topology = build_fat_tree(sim, observe_topology_params(hosts))
+    topology = build_episode_topology(sim, scale)
     cluster = OnePipeCluster(
         sim,
         n_processes=hosts,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterator, List, Optional, Sequence
 
 from repro.net.packet import Packet, PacketKind
 from repro.onepipe.config import OnePipeConfig
@@ -49,13 +49,17 @@ class OnePipeEndpoint:
     """One 1Pipe process: a sender role plus a receiver role (§2.1)."""
 
     def __init__(
-        self, agent: "HostAgent", proc_id: int, config: OnePipeConfig
+        self,
+        agent: "HostAgent",
+        proc_id: int,
+        config: OnePipeConfig,
+        msg_ids: Iterator[int],
     ) -> None:
         self.agent = agent
         self.sim = agent.sim
         self.proc_id = proc_id
         self.config = config
-        self.sender = ProcessSender(agent, proc_id, config)
+        self.sender = ProcessSender(agent, proc_id, config, msg_ids)
         self.receiver = ProcessReceiver(agent, proc_id, config)
         self.receiver.deliver_callback = self._dispatch_delivery
         self._recv_callbacks: List[Callable[[Message], None]] = []

@@ -16,6 +16,7 @@ This is the entry point used by the examples and every benchmark::
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, List, Optional
 
 from repro.net.rpc import Directory
@@ -47,6 +48,9 @@ class OnePipeCluster:
         self.config = config or OnePipeConfig()
         self.topology = topology if topology is not None else build_testbed(sim)
         self.directory = Directory()
+        # One message-id counter per cluster: a run's ids never depend on
+        # what else ran in the Python process.
+        self._msg_ids = itertools.count(1)
 
         self.controller: Optional[Controller] = None
         failure_listener = None
@@ -96,7 +100,7 @@ class OnePipeCluster:
             placed = self.topology.assign_hosts(n_processes)
         for proc_id, host in enumerate(placed):
             endpoint = OnePipeEndpoint(
-                self.agents[host.node_id], proc_id, self.config
+                self.agents[host.node_id], proc_id, self.config, self._msg_ids
             )
             self.endpoints.append(endpoint)
             if self.controller is not None:
@@ -135,7 +139,9 @@ class OnePipeCluster:
         """Register a new process (e.g. a recovered receiver re-joining
         as a fresh process, §5.2).  If the host had been declared failed
         and has since recovered, it is re-admitted (routes restored)."""
-        endpoint = OnePipeEndpoint(self.agents[host_id], proc_id, self.config)
+        endpoint = OnePipeEndpoint(
+            self.agents[host_id], proc_id, self.config, self._msg_ids
+        )
         self.endpoints.append(endpoint)
         if self.controller is not None:
             self.controller.register_endpoint(endpoint)

@@ -25,9 +25,8 @@ Send path (paper §6.1):
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet, PacketKind, fragment_sizes
 from repro.net.transport import SendWindow
@@ -114,16 +113,16 @@ class Scattering:
 class ProcessSender:
     """Sender half of a 1Pipe process endpoint."""
 
-    _msg_ids = itertools.count(1)
-
     def __init__(
         self,
         agent: "HostAgent",
         proc_id: int,
         config: OnePipeConfig,
+        msg_ids: Iterator[int],
         max_wait_queue: int = 4096,
     ) -> None:
         self.agent = agent
+        self._msg_ids = msg_ids  # shared by every sender of the cluster
         self.sim = agent.sim
         self.clock = agent.clock
         self.proc_id = proc_id

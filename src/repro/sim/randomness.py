@@ -36,3 +36,10 @@ class RngStreams:
 
     def __contains__(self, name: str) -> bool:
         return name in self._streams
+
+
+def episode_seed(seed: int, index: int) -> int:
+    """Root seed of episode ``index`` of a run seeded ``seed`` (a chaos
+    episode, verify episode, workload shard or shootout scenario).  The
+    stride keeps the episodes of nearby run seeds from colliding."""
+    return seed * 1_000_003 + index

@@ -35,7 +35,7 @@ from repro.verify.oracle import (
     ReferenceOracle,
     SentMessage,
 )
-from repro.verify.runner import VerifyRunner, check_episode, write_report
+from repro.verify.runner import VerifyRunner, check_episode
 from repro.verify.shrink import shrink_episode
 
 __all__ = [
@@ -53,5 +53,4 @@ __all__ = [
     "generate_episode",
     "replay_episode",
     "shrink_episode",
-    "write_report",
 ]

@@ -19,24 +19,15 @@ scatter fanout, mid-run faults via :class:`repro.chaos.schedule`), so a
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.schedule import ChaosInjector, ChaosSchedule, FaultEvent
-from repro.net.topology import TopologyParams, build_fat_tree
+from repro.net.topology import build_episode_topology
 from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.sim import Simulator
 from repro.sim.randomness import RngStreams
 from repro.verify.oracle import Delivery, EpisodeObservation, SentMessage
-
-# Sync often enough that clock faults interact with several sync epochs
-# inside one short episode (same rationale as the chaos campaign).
-VERIFY_CLOCK_SYNC_NS = 250_000
-
-# Fault mix for verification episodes: the chaos default minus nothing —
-# the contract must hold under every gray failure the campaign throws.
-SCALES = ("small", "testbed")
 
 
 class VerifyHarnessError(RuntimeError):
@@ -78,7 +69,7 @@ class EpisodeSpec:
     seed: int
     episode: int
     mode: str
-    scale: str                               # "small" or "testbed"
+    scale: str                               # net.topology.EPISODE_SCALES
     n_processes: int
     horizon_ns: int
     drain_ns: int
@@ -126,29 +117,6 @@ class EpisodeSpec:
         return replace(self, mode=mode)
 
 
-def build_verify_topology(sim: Simulator, scale: str):
-    """The network a verification episode runs on.
-
-    ``small`` is a 3-tier, 8-host fat-tree — multi-hop paths with real
-    reordering potential but ~6x cheaper to simulate than the paper
-    testbed.  ``testbed`` is the paper's 32-host evaluation fabric.
-    """
-    if scale == "small":
-        params = TopologyParams(
-            n_pods=2,
-            tors_per_pod=2,
-            spines_per_pod=1,
-            n_cores=1,
-            hosts_per_tor=2,
-            clock_sync_interval_ns=VERIFY_CLOCK_SYNC_NS,
-        )
-    elif scale == "testbed":
-        params = TopologyParams(clock_sync_interval_ns=VERIFY_CLOCK_SYNC_NS)
-    else:
-        raise ValueError(f"unknown scale {scale!r}, expected one of {SCALES}")
-    return build_fat_tree(sim, params)
-
-
 # ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
@@ -177,7 +145,7 @@ def generate_episode(
 
     # Fault targets come from the topology the replay will build; a
     # throwaway simulator keeps generation free of side effects.
-    topology = build_verify_topology(Simulator(seed=seed), scale)
+    topology = build_episode_topology(Simulator(seed=seed), scale)
     n_processes = min(n_processes, len(topology.hosts))
     faults: Tuple[FaultEvent, ...] = ()
     if n_faults > 0:
@@ -252,27 +220,17 @@ def replay_episode(
     the returned :class:`EpisodeRun` — the delivery trace and oracle
     verdict are identical either way (``tests/obs/test_determinism.py``).
     """
-    from repro.onepipe.sender import ProcessSender
-
     sim = Simulator(seed=spec.seed)
     # Enable in place: endpoints cache the tracer object at construction.
     sim.tracer.enabled = True
     sim.tracer.limit = trace_limit
     if metrics:
         sim.metrics.enabled = True
-    # Message ids come from a process-wide counter; pin it so the same
-    # spec always replays to byte-identical traces and divergence
-    # reports, no matter what ran earlier in this Python process.  The
-    # replay owns its private simulator, so no live cluster shares the
-    # counter mid-run.
-    ProcessSender._msg_ids = itertools.count(1)
-
-    topology = build_verify_topology(sim, spec.scale)
     cluster = OnePipeCluster(
         sim,
         n_processes=spec.n_processes,
         config=OnePipeConfig(mode=spec.mode),
-        topology=topology,
+        topology=build_episode_topology(sim, spec.scale),
     )
     injector = ChaosInjector(cluster)
     if spec.faults:
@@ -280,24 +238,7 @@ def replay_episode(
     if mutate is not None:
         mutate(cluster)
 
-    controller = cluster.controller
-    records: List[Tuple[SendOp, Any]] = []
-    skipped = [0]
-
-    def issue(op: SendOp) -> None:
-        endpoint = cluster.endpoint(op.src)
-        if (
-            endpoint.closed
-            or endpoint.agent.host.failed
-            or (controller is not None and op.src in controller.failed_procs)
-        ):
-            skipped[0] += 1
-            return
-        send = endpoint.reliable_send if op.reliable else endpoint.unreliable_send
-        records.append((op, send(list(op.entries))))
-
-    for op in spec.sends:
-        sim.schedule_at(op.at, issue, op)
+    records, skipped = drive_sends(cluster, spec.sends)
     sim.run(until=spec.horizon_ns + spec.drain_ns)
 
     if sim.tracer.overflowed:
@@ -319,7 +260,7 @@ def replay_episode(
         spec=spec,
         observation=observation,
         sends_issued=len(records),
-        sends_skipped=skipped[0],
+        sends_skipped=len(skipped),
         messages_delivered=sum(
             len(trace) for trace in observation.deliveries.values()
         ),
@@ -327,6 +268,37 @@ def replay_episode(
         trace_records=len(sim.tracer.records),
         metrics=summary,
     )
+
+
+def drive_sends(
+    cluster: OnePipeCluster, sends: Iterable[SendOp]
+) -> Tuple[List[Tuple[SendOp, Any]], List[SendOp]]:
+    """Schedule every explicit :class:`SendOp` on ``cluster``'s simulator.
+
+    Returns ``(records, skipped)``, filled in as the run proceeds:
+    ``(op, scattering)`` per issued op in issue order (``scattering`` is
+    None when the send buffer was full), and every op whose sender was
+    closed, failed or declared failed when it fired.
+    """
+    controller = cluster.controller
+    records: List[Tuple[SendOp, Any]] = []
+    skipped: List[SendOp] = []
+
+    def issue(op: SendOp) -> None:
+        endpoint = cluster.endpoint(op.src)
+        if (
+            endpoint.closed
+            or endpoint.agent.host.failed
+            or (controller is not None and op.src in controller.failed_procs)
+        ):
+            skipped.append(op)
+            return
+        send = endpoint.reliable_send if op.reliable else endpoint.unreliable_send
+        records.append((op, send(list(op.entries))))
+
+    for op in sends:
+        cluster.sim.schedule_at(op.at, issue, op)
+    return records, skipped
 
 
 def extract_observation(

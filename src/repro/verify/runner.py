@@ -10,12 +10,11 @@ replay coordinates (seed, episode, mode) land in the JSON report.
 
 from __future__ import annotations
 
-import json
-import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.onepipe.config import MODES
 from repro.parallel import run_ordered
+from repro.sim.randomness import episode_seed
 from repro.verify.episodes import (
     EpisodeRun,
     EpisodeSpec,
@@ -25,15 +24,6 @@ from repro.verify.episodes import (
 )
 from repro.verify.oracle import AttackInfo, Divergence, ReferenceOracle
 from repro.verify.shrink import shrink_episode
-
-# Same convention as the chaos campaign: episode seeds are far apart so
-# the named RNG streams of different episodes never collide.
-EPISODE_SEED_STRIDE = 1_000_003
-
-
-def episode_seed(seed: int, episode: int) -> int:
-    return seed * EPISODE_SEED_STRIDE + episode
-
 
 def attack_info(spec: EpisodeSpec) -> Optional[AttackInfo]:
     """Derive the oracle's attack-mode input from a spec's fault list.
@@ -171,8 +161,8 @@ class VerifyRunner:
 
         With ``jobs > 1`` the pairs fan out over a process pool; the
         report stays byte-identical to a sequential run because every
-        pair is a pure function of its episode seed (``replay_episode``
-        pins the process-wide message-id counter), outcomes merge in
+        pair is a pure function of its episode seed (each replay builds
+        its own cluster, which numbers its own messages), outcomes merge in
         submission order, and shrinking runs after the sweep on the
         first divergent pair in that same order.  ``mutate`` hooks are
         arbitrary callables, so they force ``jobs=1``.
@@ -291,13 +281,3 @@ class VerifyRunner:
             "first_divergence": divs[0].to_dict() if divs else None,
             "spec": small.to_dict(),
         }
-
-
-def write_report(report: Dict[str, Any], path: str) -> None:
-    """Write a verification report as stable (byte-identical) JSON."""
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -26,7 +26,7 @@ from repro.workload.generators import (
 )
 from repro.workload.tenants import RATE_CLASSES, RateClass, TenantSpec
 from repro.workload.scenarios import SCENARIOS, ScenarioSpec, get_scenario
-from repro.workload.runner import run_scenario, write_report
+from repro.workload.runner import run_scenario
 
 __all__ = [
     "OpenLoopArrivals",
@@ -39,5 +39,4 @@ __all__ = [
     "ZipfGenerator",
     "get_scenario",
     "run_scenario",
-    "write_report",
 ]

@@ -1,8 +1,8 @@
 """Deterministic scenario execution and JSON reports.
 
 A scenario run is ``scenario.shards`` independent episodes ("shards"),
-each on its own simulator seeded ``seed * 1_000_003 + shard`` (the
-chaos/verify stride).  Shards fan out over worker processes via
+each on its own simulator seeded ``episode_seed(seed, shard)`` (the
+chaos/verify rule).  Shards fan out over worker processes via
 :func:`repro.parallel.run_ordered`, and the merged report is a pure
 function of ``(scenario, seed, faults)`` — byte-identical across runs
 and across ``--jobs`` values (the job count never enters the JSON; the
@@ -16,17 +16,15 @@ violations in every shard.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, List, Optional
 
-from repro.obs.export import write_json
 from repro.parallel import run_ordered
+from repro.sim.randomness import episode_seed
 from repro.workload.scenarios import ScenarioSpec
 
-__all__ = ["run_scenario", "run_shard", "write_report"]
+__all__ = ["run_scenario", "run_shard"]
 
 REPORT_SCHEMA = "repro.workload.report/1"
-SHARD_SEED_STRIDE = 1_000_003
 TRACE_LIMIT = 2_000_000
 
 
@@ -43,24 +41,19 @@ def run_shard(
     ``keep_run``, the live engine/cluster/records for test inspection).
     """
     from repro.chaos.schedule import ChaosInjector, ChaosSchedule
+    from repro.net.topology import build_episode_topology
     from repro.onepipe import OnePipeCluster
-    from repro.onepipe.sender import ProcessSender
     from repro.sim import Simulator
-    from repro.verify.episodes import build_verify_topology
     from repro.workload.engine import WorkloadEngine, build_app
 
-    shard_seed = seed * SHARD_SEED_STRIDE + shard
+    shard_seed = episode_seed(seed, shard)
     sim = Simulator(seed=shard_seed)
     sim.metrics.enabled = True
     if check_ordering or keep_run:
         sim.tracer.enabled = True
         sim.tracer.limit = TRACE_LIMIT
-    # Pin the process-wide message-id counter (the replay_episode
-    # discipline): shard reports must not depend on what ran earlier in
-    # this Python process.
-    ProcessSender._msg_ids = itertools.count(1)
 
-    topology = build_verify_topology(sim, scenario.scale)
+    topology = build_episode_topology(sim, scenario.scale)
     cluster = OnePipeCluster(
         sim,
         n_processes=scenario.n_processes,
@@ -284,7 +277,3 @@ def run_scenario(
         "shards": shards,
         "ok": ok,
     }
-
-
-def write_report(report: Dict[str, Any], path: str) -> None:
-    write_json(report, path)

@@ -15,9 +15,9 @@ from repro.baselines.shootout import (
     SCENARIO_NAMES,
     ShootoutRunner,
     k4_params,
-    write_report,
     _CellStats,
 )
+from repro.obs.export import write_json
 
 # A small grid that still crosses a host-side and an in-network
 # protocol with a clean and a faulty scenario.
@@ -61,7 +61,7 @@ def test_report_is_deterministic_and_clean(tmp_path):
     for run in range(2):
         report = ShootoutRunner(seed=5, **SMALL).run()
         path = tmp_path / f"r{run}.json"
-        write_report(report, str(path))
+        write_json(report, str(path))
         reports.append(path.read_bytes())
     assert reports[0] == reports[1]
     report = json.loads(reports[0])
@@ -81,8 +81,8 @@ def test_jobs_do_not_change_the_report(tmp_path):
     base = ShootoutRunner(seed=7, **SMALL).run()
     forked = ShootoutRunner(seed=7, jobs=2, **SMALL).run()
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_report(base, str(a))
-    write_report(forked, str(b))
+    write_json(base, str(a))
+    write_json(forked, str(b))
     assert a.read_bytes() == b.read_bytes()
 
 

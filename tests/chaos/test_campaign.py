@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.chaos import CampaignRunner, ChaosSchedule, write_report
+from repro.chaos import CampaignRunner, ChaosSchedule
 from repro.net.topology import build_testbed
+from repro.obs.export import write_json
 from repro.sim import Simulator
 
 SMALL = dict(
@@ -99,5 +100,5 @@ class TestCampaign:
     def test_write_report_round_trips(self, tmp_path):
         report = {"ok": True, "total_violations": 0}
         path = tmp_path / "nested" / "report.json"
-        write_report(report, str(path))
+        write_json(report, str(path))
         assert json.loads(path.read_text()) == report

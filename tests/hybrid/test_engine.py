@@ -131,3 +131,18 @@ class TestReportShape:
     def test_hot_pods_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             run_hyperscale(replace(COLD, hot_pods=99))
+
+    def test_p99_is_nearest_rank(self):
+        """Regression: the island p99 once read index ``99·(n−1)//100``
+        of the sorted latencies, a rank below nearest rank whenever
+        0.99·n has a fractional part below .99 (n = 50: rank 49, not 50).
+        """
+        from repro.hybrid.engine import delivery_latency_summary
+
+        latencies = [1_000 * v for v in range(50, 0, -1)]  # distinct, unsorted
+        assert delivery_latency_summary(latencies) == {
+            "mean_delivery_ns": 25_500,
+            "p99_delivery_ns": 50_000,   # ceil(0.99 · 50) = rank 50
+            "max_delivery_ns": 50_000,
+        }
+        assert set(delivery_latency_summary([]).values()) == {0}

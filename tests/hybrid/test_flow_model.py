@@ -25,35 +25,33 @@ from repro.sim import Simulator
 
 CONCURRENCY = st.integers(min_value=0, max_value=100_000)
 HOSTS = st.integers(min_value=0, max_value=2_000_000)
-TOPOLOGIES = st.sampled_from(sorted(flow.TOPOLOGY_DELTA))
 
 
 class TestCongestion:
-    @given(concurrent=CONCURRENCY, topology=TOPOLOGIES, n_hosts=HOSTS)
-    def test_at_least_one(self, concurrent, topology, n_hosts):
-        assert flow.congestion_factor(concurrent, topology, n_hosts) >= 1.0
+    @given(concurrent=CONCURRENCY, n_hosts=HOSTS)
+    def test_at_least_one(self, concurrent, n_hosts):
+        assert flow.congestion_factor(concurrent, n_hosts) >= 1.0
 
-    @given(concurrent=CONCURRENCY, topology=TOPOLOGIES, n_hosts=HOSTS)
-    def test_monotone_in_concurrency(self, concurrent, topology, n_hosts):
+    @given(concurrent=CONCURRENCY, n_hosts=HOSTS)
+    def test_monotone_in_concurrency(self, concurrent, n_hosts):
         assert flow.congestion_factor(
-            concurrent + 1, topology, n_hosts
-        ) >= flow.congestion_factor(concurrent, topology, n_hosts)
+            concurrent + 1, n_hosts
+        ) >= flow.congestion_factor(concurrent, n_hosts)
 
     @given(
         concurrent=CONCURRENCY,
-        topology=TOPOLOGIES,
         smaller=HOSTS,
         growth=st.integers(min_value=1, max_value=500_000),
     )
-    def test_monotone_in_scale(self, concurrent, topology, smaller, growth):
+    def test_monotone_in_scale(self, concurrent, smaller, growth):
         assert flow.congestion_factor(
-            concurrent, topology, smaller + growth
-        ) >= flow.congestion_factor(concurrent, topology, smaller)
+            concurrent, smaller + growth
+        ) >= flow.congestion_factor(concurrent, smaller)
 
-    @given(concurrent=CONCURRENCY, topology=TOPOLOGIES, n_hosts=HOSTS)
-    def test_milli_is_exact_round(self, concurrent, topology, n_hosts):
-        assert flow.congestion_milli(concurrent, topology, n_hosts) == round(
-            flow.congestion_factor(concurrent, topology, n_hosts) * 1000
+    @given(concurrent=CONCURRENCY, n_hosts=HOSTS)
+    def test_milli_is_exact_round(self, concurrent, n_hosts):
+        assert flow.congestion_milli(concurrent, n_hosts) == round(
+            flow.congestion_factor(concurrent, n_hosts) * 1000
         )
 
     def test_lone_flow_is_free_below_saturation(self):

@@ -9,7 +9,7 @@ from repro.obs.export import (
     validate_chrome_trace,
     validate_metrics_report,
 )
-from repro.obs.runner import observe_topology_params, run_observe
+from repro.obs.runner import run_observe
 
 # One shared small run per module: the runner is deterministic, so every
 # test can assert against the same artifacts.
@@ -23,7 +23,7 @@ def observed():
 
 def test_unsupported_host_count_rejected():
     with pytest.raises(ValueError):
-        observe_topology_params(12)
+        run_observe(seed=1, hosts=12)
 
 
 def test_report_and_trace_validate(observed):

@@ -201,8 +201,9 @@ def _run_key(run):
 @pytest.mark.parametrize("mode", MODES)
 def test_fuzzer_corpus_identity(mode):
     """Delivery traces and oracle verdicts match on fuzzed episodes."""
+    from repro.sim.randomness import episode_seed
     from repro.verify.episodes import generate_episode
-    from repro.verify.runner import check_episode, episode_seed
+    from repro.verify.runner import check_episode
 
     for index in range(2):
         spec = generate_episode(

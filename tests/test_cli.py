@@ -212,3 +212,31 @@ def test_verify_divergence_exits_nonzero(tmp_path, capsys, monkeypatch):
     div = report["results"][0]["divergences"][0]
     assert div["kind"] == "order"
     assert div["mode"] == "chip"
+
+
+def test_mode_choices_follow_the_incarnation_list():
+    """Every ``--mode`` flag offers exactly ``config.ALL_MODES`` (plus
+    ``all`` where a run can sweep them)."""
+    import argparse
+
+    from repro.cli import build_parser
+    from repro.onepipe.config import ALL_MODES
+
+    parser = build_parser()
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    expected = {
+        "latency": list(ALL_MODES),
+        "observe": list(ALL_MODES),
+        "chaos": ["all", *ALL_MODES],
+        "verify": ["all", *ALL_MODES],
+    }
+    for command, choices in expected.items():
+        (mode,) = [
+            action for action in subparsers.choices[command]._actions
+            if action.dest == "mode"
+        ]
+        assert list(mode.choices) == choices, command
+    assert ALL_MODES == ("chip", "switch_cpu", "host_delegate", "bft")

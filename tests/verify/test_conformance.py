@@ -12,8 +12,9 @@ The load-bearing guarantees of the suite:
 import pytest
 
 from repro.onepipe.config import MODES
+from repro.sim.randomness import episode_seed
 from repro.verify import generate_episode, shrink_episode
-from repro.verify.runner import VerifyRunner, check_episode, episode_seed
+from repro.verify.runner import VerifyRunner, check_episode
 
 
 def swap_pairs(cluster):

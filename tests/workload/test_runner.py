@@ -38,7 +38,7 @@ def test_scenario_report_byte_identical_across_runs_and_jobs():
 def test_same_process_reruns_identical_for_all_apps():
     """Per-instance id counters: a second episode in the same process
     must not see state from the first (kvstore/hashtable/replication
-    each allocate txn/op ids; raw pins the sender msg-id counter)."""
+    each allocate txn/op ids; every cluster numbers its own messages)."""
     for name in ("hotspot", "flash_crowd", "retry_storm"):
         scenario = get_scenario(name).with_overrides(
             horizon_ns=150_000, drain_ns=800_000
