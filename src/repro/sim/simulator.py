@@ -18,6 +18,15 @@ Determinism guarantees:
   seeded from the simulator seed, so a (seed, workload) pair fully
   determines a run.
 
+Timer groups: periodic tasks built back to back hold consecutive
+sequence numbers at every instant they fire, so one :class:`_TimerGroup`
+heap entry fires them all in order and re-arms once, first.  While they
+run, the group's next instant sits in the collision watch
+(``_fabric_times``); a member that schedules there moves, with the rest,
+to a fresh group behind that event, where per-task re-arms would land.
+``step``, ``events_processed``, ``pending_events`` and ``live_events``
+count heap entries: a group is one.
+
 The simulator deliberately knows nothing about networks or clocks; those are
 layered on top (:mod:`repro.net`, :mod:`repro.clock`).
 """
@@ -97,6 +106,8 @@ class Simulator:
         # failing membership test on the scheduling paths.
         self._fabric_times: dict = {}
         self._fabric_epoch = 0
+        # The last ``every`` call's timer group (PeriodicTask.__init__).
+        self._last_group: Optional["_TimerGroup"] = None
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -171,24 +182,6 @@ class Simulator:
     # Old names, kept only because perf/probes.py still calls them.
     schedule_timer = schedule
     schedule_timer_at = schedule_at
-
-    def _requeue_timer(self, handle, time: int) -> None:
-        """Re-arm a just-fired timer handle at ``time``.
-
-        :class:`PeriodicTask` reschedules through here: identical
-        ``(time, seq)`` placement to :meth:`schedule_at`, but the handle
-        object is recycled instead of reallocated (a periodic task has
-        at most one pending firing, and the run loop has already
-        detached the popped handle).
-        """
-        if time in self._fabric_times:
-            self._fabric_epoch += 1
-        seq = self._seq
-        self._seq = seq + 1
-        handle.time = time
-        handle.seq = seq
-        handle._sim = self
-        heapq.heappush(self._heap, (time, seq, handle))
 
     def _handle_cancelled(self) -> None:
         """A queued handle was cancelled (called by the handle itself)."""
@@ -337,7 +330,7 @@ class Simulator:
         return self.run(until=self.now + int(duration), **kwargs)
 
     def step(self) -> bool:
-        """Process a single event.  Returns False if the queue is empty."""
+        """Process one heap entry.  Returns False if the queue is empty."""
         heap = self._heap
         while heap:
             time, _seq, handle = heapq.heappop(heap)
@@ -365,13 +358,13 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (including cancelled
+        """Number of heap entries still queued (including cancelled
         tombstones)."""
         return len(self._heap)
 
     @property
     def live_events(self) -> int:
-        """Number of queued events that will actually fire."""
+        """Number of queued heap entries that will actually fire."""
         return len(self._heap) - self._tombstones
 
     @property
@@ -381,7 +374,7 @@ class Simulator:
 
     @property
     def events_processed(self) -> int:
-        """Total events processed over the lifetime of the simulator."""
+        """Heap entries processed over the lifetime of the simulator."""
         return self._events_processed
 
     def peek_time(self) -> Optional[int]:
@@ -412,12 +405,78 @@ class Simulator:
 
         ``jitter`` (with ``jitter_rng``) adds a uniform [0, jitter) offset to
         each firing, used e.g. to de-synchronize beacon senders in ablation
-        experiments.
+        experiments.  A task without jitter joins the previous call's
+        timer group (module docstring) when it would fire right after it.
         """
         return PeriodicTask(self, interval, callback, args, phase, jitter_rng, jitter)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self.now} pending={len(self._heap)}>"
+
+
+class _TimerGroup:
+    """Periodic tasks that fire back to back: one heap entry, one re-arm.
+
+    ``tasks`` holds the uncancelled members in firing order; the handle
+    is cancelled when the last one leaves.
+    """
+
+    __slots__ = ("sim", "interval", "tasks", "handle")
+
+    def __init__(self, sim, interval: int, tasks: list, time: int, seq=None):
+        self.sim = sim
+        self.interval = interval
+        self.tasks = tasks
+        for task in tasks:
+            task._group = self
+        if seq is None:
+            self.handle = sim.schedule_at(time, self._fire)
+        else:  # back into a slot just popped
+            self.handle = EventHandle(time, seq, self._fire, (), sim)
+            heapq.heappush(sim._heap, (time, seq, self.handle))
+
+    def _move(self, tasks: list, time: int, seq=None) -> "_TimerGroup":
+        """Move the uncancelled ``tasks`` (a suffix of this group's) to a
+        new group at ``time``, or into the popped slot ``(time, seq)``;
+        returns it, or this group if none is left to move."""
+        tasks = [task for task in tasks if not task._cancelled]
+        if not tasks:
+            return self
+        del self.tasks[-len(tasks):]
+        if not self.tasks:
+            self.handle.cancel()
+        return _TimerGroup(self.sim, self.interval, tasks, time, seq)
+
+    def _fire(self) -> None:
+        sim = self.sim
+        sim._last_group = None  # a group that has fired takes no joins
+        sim._stopped = False  # only a stop from a member counts below
+        now = sim.now
+        seq = self.handle.seq
+        time = now + self.interval
+        self.handle = sim.schedule_at(time, self._fire)
+        times = sim._fabric_times
+        times[time] = times.get(time, 0) + 1
+        epoch = sim._fabric_epoch
+        group = self
+        tasks = self.tasks[:]  # PeriodicTask.cancel edits the list
+        for i, task in enumerate(tasks):
+            if task._cancelled:
+                continue
+            task._callback(*task._args)
+            if sim._fabric_epoch != epoch:
+                # The callback scheduled at ``time``, ahead of this task's
+                # own re-arm: it and the rest move behind that event.
+                group = group._move(tasks[i:], time)
+                epoch = sim._fabric_epoch
+            if sim._stopped:
+                # The unfired rest go back to the popped slot: next up.
+                group._move(tasks[i + 1:], now, seq)
+                break
+        if times[time] > 1:
+            times[time] -= 1
+        else:
+            del times[time]
 
 
 class PeriodicTask:
@@ -440,7 +499,7 @@ class PeriodicTask:
         self._callback = callback
         self._args = args
         self._jitter_rng = jitter_rng
-        self._jitter = int(jitter)
+        self._jitter = int(jitter) if jitter_rng is not None else 0
         self._cancelled = False
         # Align the first firing to the next multiple of interval + phase so
         # that tasks with the same interval fire at synchronized instants
@@ -449,33 +508,45 @@ class PeriodicTask:
         if first < sim.now:
             first += self._interval
         self._next_time = first
-        self._handle = sim.schedule_at(self._apply_jitter(first), self._fire)
-
-    def _apply_jitter(self, time: int) -> int:
-        if self._jitter and self._jitter_rng is not None:
-            return time + self._jitter_rng.randrange(self._jitter)
-        return time
+        # A jittered task keeps its own handle (its offsets are drawn
+        # after each callback); any other is a member of a timer group.
+        self._handle = self._group = None
+        if self._jitter:
+            first += jitter_rng.randrange(self._jitter)
+            self._handle = sim.schedule_at(first, self._fire)
+            return
+        group = sim._last_group
+        if (
+            group is not None
+            and group.tasks
+            and group.handle.seq == sim._seq - 1
+            and group.interval == self._interval
+            and group.handle.time == first
+        ):
+            group.tasks.append(self)
+            self._group = group
+        else:
+            sim._last_group = _TimerGroup(sim, self._interval, [self], first)
 
     def _fire(self) -> None:
-        if self._cancelled:
-            return
         self._callback(*self._args)
         if self._cancelled:  # callback may cancel us
             return
         sim = self._sim
-        time = self._next_time + self._interval
-        self._next_time = time
-        if self._jitter and self._jitter_rng is not None:
-            time += self._jitter_rng.randrange(self._jitter)
-        if time < sim.now:
-            time = sim.now
-        sim._requeue_timer(self._handle, time)
+        self._next_time += self._interval
+        time = self._next_time + self._jitter_rng.randrange(self._jitter)
+        self._handle = sim.schedule_at(max(time, sim.now), self._fire)
 
     def cancel(self) -> None:
+        if self._cancelled:
+            return
         self._cancelled = True
         if self._handle is not None:
             self._handle.cancel()
-            self._handle = None
+        else:
+            self._group.tasks.remove(self)
+            if not self._group.tasks:
+                self._group.handle.cancel()
 
 
 def exhaust(iterator: Iterator[Any]) -> None:

@@ -76,10 +76,11 @@ class TestColdAccuracy:
     def test_island_is_smaller_than_packet_reference(
         self, cold_report, packet_reference
     ):
+        # A size, not an event count: timer groups make scheduler events
+        # scale with beacon instants rather than with hosts.
         assert cold_report["island"]["hosts"] < packet_reference["hosts"]
         assert (
-            cold_report["island"]["events_processed"]
-            < packet_reference["events_processed"]
+            cold_report["island"]["switches"] < packet_reference["switches"]
         )
 
 

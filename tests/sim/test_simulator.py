@@ -238,6 +238,9 @@ _ENTRY_POINTS = (
 )
 
 
+_FIRINGS = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+
+
 def _actions(children):
     return st.one_of(
         st.tuples(
@@ -247,10 +250,20 @@ def _actions(children):
             st.just("every"),
             _DELAYS.filter(bool),  # interval
             st.sampled_from([0, 1, 1_023]),  # phase, reduced mod interval
-            st.integers(1, 3),  # cancelled from inside its n-th firing
+            # Tasks issued back to back, each cancelled from inside its
+            # n-th firing.
+            _FIRINGS,
             children,
         ),
         st.tuples(st.just("cancel"), st.integers(0, 1 << 16)),
+        # Inside a periodic tick: an event at exactly the tick's interval
+        # and a task on the tick's own grid (both land on the instant the
+        # ticking group re-arms to), cancelling a member of the group
+        # that is firing, and stopping the run.
+        st.tuples(st.just("echo"), st.sampled_from(_ENTRY_POINTS), children),
+        st.tuples(st.just("twin"), _FIRINGS, children),
+        st.tuples(st.just("sibling"), st.integers(0, 1 << 16)),
+        st.just(("stop",)),
     )
 
 
@@ -273,11 +286,20 @@ _PROGRAMS = st.lists(
 class _OrderModel:
     """Runs a program against a simulator and the obvious model of one.
 
-    The model is the list of issued ``[time, issue index, state]``
-    entries: every scheduling call, whichever entry point took it and
-    whether it came from the test body or from inside a callback, draws
-    the next issue index.  What fires must be the entries nobody
-    cancelled first, in ``(time, issue index)`` order.
+    The model is the list of issued ``[time, issue index, state, is a
+    periodic firing]`` entries: every scheduling call, whichever entry
+    point took it and whether it came from the test body or from inside
+    a callback, draws the next issue index.  What fires must be the
+    entries nobody cancelled first, in ``(time, issue index)`` order.
+
+    The queue counters count heap entries: one per plain event, and one
+    per *slot* — the timer group that periodic tasks share.  Slots follow
+    the simulator's rules in what the model can see: ``every`` calls
+    back to back with equal interval and first firing share one; a slot
+    that fires re-arms whole before its first member runs; a member
+    whose callback issues at the re-arm instant moves, with the members
+    after it, to a fresh slot; and ``stop`` puts the unfired rest in a
+    slot at the current instant.
     """
 
     LIVE, FIRED, CANCELLED = "live", "fired", "cancelled"
@@ -291,18 +313,34 @@ class _OrderModel:
         # What a ``cancel`` action can pick: ("handle", handle, entry
         # index) or ("task", record).
         self.cancellable: list[tuple] = []
+        # Periodic task records in creation order, which is also the
+        # firing order inside every slot.
+        self.records: list[dict] = []
+        self.slots = 0
+        # The slot the simulator pushed last (None: a plain event).
+        self.last_push = None
+        # The simulator's stop flag, as the firing slot sees it.
+        self.stopped = False
+        # While a slot fires: its members in firing order, its number,
+        # and the record whose callback is running.
+        self.order: list[dict] = []
+        self.firing = None
+        self.ticking = None
+        # The heap entry each fired callback came from, for ``step``.
+        self.sources: list[tuple] = []
 
     # -- model bookkeeping ---------------------------------------------
-    def _issue(self, time: int) -> int:
-        self.entries.append([time, len(self.entries), self.LIVE])
+    def _issue(self, time: int, periodic: bool = False) -> int:
+        self.entries.append([time, len(self.entries), self.LIVE, periodic])
         return len(self.entries) - 1
 
-    def _mark_fired(self, index: int) -> None:
+    def _mark_fired(self, index: int, source: tuple) -> None:
         entry = self.entries[index]
         assert entry[2] == self.LIVE, f"{entry} fired"
         assert entry[0] == self.sim.now
         entry[2] = self.FIRED
         self.fired.append((entry[0], entry[1]))
+        self.sources.append(source)
         self.check_counts()
 
     def _unfired(self) -> list[tuple]:
@@ -310,12 +348,39 @@ class _OrderModel:
             (e[0], e[1]) for e in self.entries if e[2] == self.LIVE
         )
 
+    def _push(self, time: int, interval: int, joinable: bool) -> dict:
+        self.slots += 1
+        slot = {
+            "n": self.slots,
+            "time": time,
+            "interval": interval,
+            "joinable": joinable,  # made by ``every``, not by a firing
+        }
+        self.last_push = slot
+        return slot
+
+    def _live(self, slot: dict) -> bool:
+        return any(
+            r["slot"] is slot and not r["cancelled"] for r in self.records
+        )
+
+    def _move(self, records: list, time: int, pushed: bool = True) -> None:
+        """The uncancelled ``records`` move to a new slot at ``time``."""
+        rest = [r for r in records if not r["cancelled"]]
+        if rest:
+            last = self.last_push
+            slot = self._push(time, rest[0]["interval"], joinable=False)
+            if not pushed:  # back into the popped slot: no new sequence
+                self.last_push = last
+            for r in rest:
+                r["slot"] = slot
+
     def check_counts(self) -> None:
         sim = self.sim
         assert sim.pending_events == sim.live_events + sim.heap_tombstones
-        assert sim.live_events == sum(
-            e[2] == self.LIVE for e in self.entries
-        )
+        plain = sum(e[2] == self.LIVE and not e[3] for e in self.entries)
+        slots = {id(r["slot"]) for r in self.records if not r["cancelled"]}
+        assert sim.live_events == plain + len(slots)
 
     def check_order(self) -> None:
         self.check_counts()
@@ -326,11 +391,22 @@ class _OrderModel:
 
     # -- actions ---------------------------------------------------------
     def act(self, action: tuple) -> None:
-        kind = action[0]
+        kind, tick = action[0], self.ticking
         if kind == "sched":
             self._sched(*action[1:])
         elif kind == "every":
             self._every(*action[1:])
+        elif kind == "echo":
+            if tick is not None:
+                self._sched(action[1], tick["interval"], action[2])
+        elif kind == "twin":
+            if tick is not None:
+                self._every(tick["interval"], tick["phase"], *action[1:])
+        elif kind == "stop":
+            self.sim.stop()
+            self.stopped = True
+        elif kind == "sibling" and tick is not None:
+            self._cancel(("task", self.order[action[1] % len(self.order)]))
         elif self.cancellable:
             self._cancel(self.cancellable[action[1] % len(self.cancellable)])
 
@@ -339,40 +415,73 @@ class _OrderModel:
         index = self._issue(sim.now + delay)
         when = sim.now + delay if entry_point.endswith("_at") else delay
         handle = getattr(sim, entry_point)(when, self._fire, index, children)
+        self.last_push = None
         if handle is not None:
             self.cancellable.append(("handle", handle, index))
 
     def _fire(self, index: int, children: tuple) -> None:
-        self._mark_fired(index)
+        self._mark_fired(index, ("event", index))
         for child in children:
             self.act(child)
 
     def _every(
-        self, interval: int, phase: int, firings: int, children: tuple
+        self, interval: int, phase: int, firings: tuple, children: tuple
     ) -> None:
         sim = self.sim
         phase %= interval
         first = sim.now - (sim.now - phase) % interval + interval
-        record = {
-            "pending": self._issue(first),
-            "left": firings,
-            "cancelled": False,
-        }
-        record["task"] = sim.every(
-            interval, self._tick, record, interval, children, phase=phase
-        )
-        self.cancellable.append(("task", record))
+        for left in firings:
+            slot = self.last_push
+            if not (
+                slot is not None
+                and slot["joinable"]
+                and slot["interval"] == interval
+                and slot["time"] == first
+                and self._live(slot)
+            ):
+                slot = self._push(first, interval, joinable=True)
+            record = {
+                "pending": self._issue(first, periodic=True),
+                "left": left,
+                "cancelled": False,
+                "slot": slot,
+                "interval": interval,
+                "phase": phase,
+            }
+            self.records.append(record)
+            record["task"] = sim.every(
+                interval, self._tick, record, children, phase=phase
+            )
+            self.cancellable.append(("task", record))
 
-    def _tick(self, record: dict, interval: int, children: tuple) -> None:
-        self._mark_fired(record["pending"])
+    def _tick(self, record: dict, children: tuple) -> None:
+        now = self.sim.now
+        rearm = now + record["interval"]
+        slot = record["slot"]
+        if slot["time"] == now:
+            # The slot fires: it re-arms, every member with it, first.
+            self.stopped = False
+            self.order = [r for r in self.records if r["slot"] is slot]
+            self.firing = slot["n"]
+            self._move(self.order, rearm)
+        mark = len(self.entries)
+        self._mark_fired(record["pending"], ("slot", self.firing))
+        self.ticking = record
         for child in children:
             self.act(child)
+        self.ticking = None
         record["left"] -= 1
         if not record["left"]:
             self._cancel(("task", record))
+        i = self.order.index(record)
+        if any(e[0] == rearm for e in self.entries[mark:]):
+            # Issued ahead of this member's own re-arm: it and the rest
+            # re-arm behind that entry.
+            self._move(self.order[i:], rearm)
+        if self.stopped:
+            self._move(self.order[i + 1:], now, pushed=False)
         if not record["cancelled"]:
-            # PeriodicTask re-arms after this callback returns.
-            record["pending"] = self._issue(self.sim.now + interval)
+            record["pending"] = self._issue(rearm, periodic=True)
 
     def _cancel(self, target: tuple) -> None:
         if target[0] == "handle":
@@ -387,18 +496,26 @@ class _OrderModel:
             self.entries[index][2] = self.CANCELLED
 
     # -- executors ---------------------------------------------------------
+    def run(self, until, max_events) -> None:
+        """``sim.run``, resumed after every ``stop`` a callback makes."""
+        self.stopped = True
+        while self.stopped:
+            self.stopped = False
+            self.sim.run(until=until, max_events=max_events)
+
     def execute(self, executor: tuple) -> None:
         sim = self.sim
         unfired = self._unfired()
         if executor[0] == "run":
             until = sim.now + executor[1]
-            sim.run(until=until, max_events=10**6 if executor[2] else None)
+            self.run(until, 10**6 if executor[2] else None)
             assert sim.now == until
             assert all(time > until for time, _ in self._unfired())
         elif executor[0] == "step":
-            before = len(self.fired)
+            # One heap entry: a plain event, or one slot's members.
+            self.sources = []
             assert sim.step() is bool(unfired)
-            assert len(self.fired) == before + bool(unfired)
+            assert len(set(self.sources)) == bool(unfired)
         else:
             assert sim.peek_time() == (unfired[0][0] if unfired else None)
 
@@ -414,7 +531,9 @@ def test_order_contract_across_entry_points(
 ):
     """Whatever mix of entry points issued them, events fire in
     ``(time, issue order)``, cancelled ones never fire, and the queue
-    counters agree with the model at every step."""
+    counters agree with the model at every step — with periodic tasks
+    grouped, and ticks that collide with their group's next instant,
+    cancel a sibling, or stop the run."""
     model = _OrderModel(compact_min)
     for actions, executor in program:
         for action in actions:
@@ -423,7 +542,7 @@ def test_order_contract_across_entry_points(
         model.execute(executor)
         model.check_order()
     # Every periodic task cancels itself, so the queue drains.
-    model.sim.run(max_events=10**6 if drain_with_max_events else None)
+    model.run(None, 10**6 if drain_with_max_events else None)
     model.check_order()
     assert model.sim.pending_events == 0
     assert model.fired == sorted(
