@@ -102,8 +102,6 @@ class _RelayEngine(_SpEngineBase):
         self.uplink = uplink
 
     def on_packet(self, packet: Packet, in_link: Link) -> bool:
-        if packet.kind == PacketKind.BEACON:
-            return False
         if _sp_type(packet) in _UPSTREAM:
             self.group.relay_hops += 1
             self._emit(self.uplink, packet)
@@ -122,8 +120,6 @@ class _CoordinatorEngine(_SpEngineBase):
         self.log: Dict[int, Tuple[int, Any]] = {}
 
     def on_packet(self, packet: Packet, in_link: Link) -> bool:
-        if packet.kind == PacketKind.BEACON:
-            return False
         sp = _sp_type(packet)
         if sp == SUBMIT:
             delay = self.switch.forwarding_delay_ns + CHIP_OP_NS
@@ -189,8 +185,6 @@ class _AcceptorEngine(_SpEngineBase):
         self.host_links: List[Tuple[int, str, Link]] = []
 
     def on_packet(self, packet: Packet, in_link: Link) -> bool:
-        if packet.kind == PacketKind.BEACON:
-            return False
         sp = _sp_type(packet)
         if sp == ACCEPT:
             self._accept(packet.payload[1])

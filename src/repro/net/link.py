@@ -299,7 +299,8 @@ class Link:
 
     @drop_filter.setter
     def drop_filter(self, predicate) -> None:
-        self._unlock_src()  # a filtered link is sent real packets
+        # Consulted at delivery only, so send accounting — owed by a
+        # lockstep source or not — is unaffected.
         self._drop_filter = predicate
         self._refresh_clean()
 

@@ -23,6 +23,8 @@ from repro.net.packet import Packet, PacketKind
 from repro.obs.registry import GLOBAL_METRICS
 from repro.sim import Simulator
 
+_BEACON_KIND = PacketKind.BEACON
+
 
 def _flow_hash(packet: Packet) -> int:
     """Deterministic 5-tuple-ish hash for ECMP (``hash()`` is salted per
@@ -85,11 +87,17 @@ class OrderingEngine(Protocol):
     """
 
     def on_packet(self, packet: Packet, in_link: Link) -> bool:
-        """Inspect/rewrite a packet before forwarding.
+        """Inspect/rewrite a non-beacon packet before forwarding.
 
-        Returns True if the packet should still be forwarded (beacons are
-        consumed hop-by-hop and return False).
+        Returns True if the packet should still be forwarded.
         """
+        ...
+
+    def on_beacon(
+        self, in_link: Link, be_ts: int, commit_ts: int, sent_at: int,
+        auth: int,
+    ) -> None:
+        """Consume a beacon (beacons are hop-by-hop, never forwarded)."""
         ...
 
     def attach(self, switch: "Switch") -> None:
@@ -153,12 +161,18 @@ class Switch(Node):
         self.rx_packets += 1
         if self._metrics.enabled:
             self._m_rx.add()
-        if self.engine is not None:
-            forward = self.engine.on_packet(packet, in_link)
-            if not forward:
-                return
-        elif packet.kind == PacketKind.BEACON:
-            # A plain switch has no use for beacons.
+        engine = self.engine
+        if packet.kind is _BEACON_KIND:
+            # Beacons normally travel on the analytic fabric, which calls
+            # on_beacon itself; a beacon packet takes the same entry.  A
+            # plain switch has no use for beacons.
+            if engine is not None:
+                engine.on_beacon(
+                    in_link, packet.barrier_ts, packet.commit_ts,
+                    packet.sent_at, packet.auth,
+                )
+            return
+        if engine is not None and not engine.on_packet(packet, in_link):
             return
         # Packets arriving on the internal loopback already paid the
         # pipeline delay in the up half of this physical switch.
@@ -187,7 +201,8 @@ class Switch(Node):
         return candidates[_flow_hash(packet) % len(candidates)]
 
     def send_on(self, link: Link, packet: Packet) -> None:
-        """Emit a locally generated packet (beacon) on a specific link."""
+        """Emit a locally generated packet on a specific link (the
+        switch-Paxos engines' coordinator and acceptor traffic)."""
         if self.failed:
             return
         link.send(packet)

@@ -2,8 +2,6 @@
 
 This package is the paper's primary contribution:
 
-- :mod:`~repro.onepipe.timestamps` — 48-bit timestamps with PAWS-style
-  wraparound comparison (§6.1).
 - :mod:`~repro.onepipe.barrier` — per-input-link barrier registers and the
   min-aggregation of equation (4.1), including the join protocol for new
   links (§4.2).

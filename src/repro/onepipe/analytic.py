@@ -1,5 +1,8 @@
 """Analytic (virtual) beacon fabric: barrier waves without packets.
 
+This is the one beacon transport: every engine, host agent and
+incarnation, BFT included, sends and receives its beacons here.
+
 At scale, beacons dominate the event population (paper §4.3: they are
 O(hosts × switch ports) per interval) — yet a beacon *carries* barrier
 information, it never creates it (§4.2).  In event-level simulation each
@@ -13,8 +16,8 @@ not the link:
   backlog FIFO, tx statistics) without constructing a packet, so data
   packets sharing the link observe byte-identical queueing.
 - **Lockstep egress**: a full-fleet emission (``out_links is
-  switch.out_links``) that leaves every out-link up, unfiltered and in
-  the idle-beacon queue shape — exactly one serializing beacon, nothing
+  switch.out_links``) that leaves every out-link up and in the
+  idle-beacon queue shape — exactly one serializing beacon, nothing
   else queued — *locks* the emitting switch (``node._lockstep``).  While
   locked, an emission whose previous wave has serialized on every link
   would take the same idle cycle on each of them, so it is O(arrival
@@ -24,7 +27,7 @@ not the link:
   disturb them — ``Link.send`` of a real packet, a partial emission or
   one meeting a beacon still on the wire, ``fail()``,
   ``set_/clear_degradation`` (the plan's offsets and the settle rate
-  change), a ``drop_filter`` assignment, ``attach_out_link``,
+  change), ``attach_out_link``,
   ``queue_bytes`` (it drains the serialized beacon the shape stands
   on, so it unlocks rather than settles) — and ``tx_packets``,
   ``tx_bytes`` and ``last_tx_time`` are settling views.  Hosts (one
@@ -37,11 +40,12 @@ not the link:
   the same instant) collapses into a handful of events, and consecutive
   entries of one kind (arrival groups, host NIC hops) share one replay
   call.
-- **Bound ingress** replays the destination's beacon branch (switch
-  engine register updates and cascade triggers, host agent barrier
-  floors) inline.  Each in-link carries one record bound by its
-  destination engine (``_bind_ingress``: slots, engine, register
-  files, value lists) and one maintained ``_clean`` flag (up,
+- **Bound ingress** hands each arrival to the destination's
+  ``on_beacon`` (switch engine register updates and cascade triggers,
+  host agent barrier floors), inlined for the steady-state chip engine
+  and the fail-stop host agent.  Each in-link carries one record bound
+  by its destination engine (``_bind_ingress``: slots, engine,
+  register files, value lists) and one maintained ``_clean`` flag (up,
   no burst chain, no loss stream, no filter), so a clean arrival into a
   steady-state chip engine is one unpack plus the two register
   max-merges.  The cascade trigger is re-evaluated only when a cached
@@ -74,19 +78,20 @@ Randomized elements do NOT break exactness: Gilbert–Elliott burst
 chains, i.i.d. corruption loss, and receiver-side loss draw from
 per-link / per-host RNG streams in chronological arrival order, and the
 fabric performs the *same draws from the same streams at the same
-simulated instants* as the event-level path would.  The only per-link
-fallback is a ``drop_filter`` (an arbitrary predicate over packet
-objects — it must be shown a real packet), in which case the fabric
-materializes a beacon packet and hands it to ``link.send`` unchanged;
-a filter installed *while a virtual beacon is in flight* is shown a
-transient probe packet at arrival, exactly where ``Link._deliver``
-would consult it.  ``MODE_BFT`` disables the fabric entirely: its
-beacons carry per-packet MACs whose verification is part of the threat
-model under test.
+simulated instants* as the event-level path would.  A ``drop_filter``
+(an arbitrary predicate over packet objects) only acts at delivery, so
+it stays virtual too: the filter is shown a transient probe packet at
+arrival, exactly where ``Link._deliver`` would consult it.
 
-Fidelity contract: with the fabric on, delivery traces, oracle
-verdicts, barrier/cascade timing, RNG streams, liveness state, and
-beacon/packet counters are byte-identical to the event-level run; only
+Authentication rides the record: each beacon record carries the
+emitter's simulated MAC (0 outside the BFT incarnation), computed over
+the honest minima before any ``beacon_corruption_ns`` applies, and the
+destination's ``on_beacon`` verifies it.
+
+Fidelity contract: delivery traces, oracle verdicts, barrier/cascade
+timing, RNG streams, liveness state, and beacon/packet counters are
+byte-identical to sending one packet per beacon per hop (the reference
+transport in ``tests/reference.py``); only
 ``Simulator.events_processed`` (fewer scheduler events) and PacketTap
 captures (no packets to tap) differ.
 """
@@ -156,11 +161,9 @@ class BeaconFabric:
         # attribute access, so the identity check there must use these.
         self._deliver_many_cb = self._deliver_many
         self._host_nic_many_cb = self._host_nic_many
-        # Diagnostics (docs/PERF.md): how many beacons travelled
-        # virtually vs fell back to materialized packets, and how many
-        # switch emissions went out as one locked wave.
+        # Diagnostics (docs/PERF.md): how many beacons travelled, and
+        # how many switch emissions went out as one locked wave.
         self.virtual_beacons = 0
-        self.fallback_beacons = 0
         self.lockstep_waves = 0
 
     # ------------------------------------------------------------------
@@ -173,16 +176,18 @@ class BeaconFabric:
         (``beacons_sent``, metrics).  Clock reads happen here — at the
         same instant ``_stamp_egress`` would read them — because
         ``HostClock.now()`` advances slew state and must be called on
-        the event-level schedule.
+        the event-level schedule.  A BFT host tags the barriers with its
+        simulated MAC.
         """
         host = agent.host
         clock_now = agent.clock.now()
         be, commit = agent.local_barriers(clock_now)
+        auth = agent._beacon_auth(be, commit) if agent._bft else 0
         host.tx_packets += 1
         if host._metrics.enabled:
             host._m_tx.add()
         now = self.sim.now
-        beacon = (host.uplink, be, commit, now)
+        beacon = (host.uplink, be, commit, now, auth)
         if host.nic_delay_ns:
             self._run(
                 now + host.nic_delay_ns, self._host_nic_many_cb
@@ -201,14 +206,9 @@ class BeaconFabric:
         count = 0
         # Uplinks are alike, so a run's arrivals mostly share one
         # instant: look its arrival run up once.  Nothing below posts or
-        # schedules except a materialized send, which drops the cache.
+        # schedules.
         run_at = run = None
-        for link, be, commit, sent_at in beacons:
-            if link._drop_filter is not None:
-                # Host beacons carry src_host (Host.send_packet stamps it).
-                self._materialize(link, be, commit, sent_at, link.src.node_id)
-                run_at = None
-                continue
+        for link, be, commit, sent_at, auth in beacons:
             fifo = link._backlog_fifo
             if (
                 link._beacon_fast
@@ -236,16 +236,19 @@ class BeaconFabric:
             if arrival != run_at:
                 run_at = arrival
                 run = self._run(arrival, self._deliver_many_cb)
-            run.append(((link,), be, commit, sent_at))
+            run.append(((link,), be, commit, sent_at, auth))
         self.virtual_beacons += count
 
     # ------------------------------------------------------------------
     # Switch-emitted beacons (_OrderingEngineBase._send_beacons)
     # ------------------------------------------------------------------
-    def emit(self, out_links, be_min: int, commit_min: int) -> None:
-        """Replay one coalesced beacon emission across ``out_links``:
-        as one locked wave if the emitting node is in lockstep, else
-        link by link (which is also where the node locks)."""
+    def emit(
+        self, out_links, be_min: int, commit_min: int, auth: int
+    ) -> None:
+        """Replay one coalesced beacon emission across ``out_links``
+        (``auth``: the emitter's simulated MAC, 0 outside BFT): as
+        one locked wave if the emitting node is in lockstep, else link
+        by link (which is also where the node locks)."""
         now = self.sim.now
         metrics_on = self._metrics.enabled
         B = BEACON_BYTES
@@ -269,21 +272,17 @@ class BeaconFabric:
                     link._m_tx_bytes.add(count * B)
                 for offset, links in lock.plan:
                     run(now + offset, dm).append(
-                        (links, be_min, commit_min, now)
+                        (links, be_min, commit_min, now, auth)
                     )
                 return
             lock.unlock()  # partial fleet, or a wave still on the wire
         # Stays True iff this is a full-fleet emission (of a switch:
-        # hosts have one out-link) that leaves every link up,
-        # unfiltered and holding exactly one serializing beacon.
+        # hosts have one out-link) that leaves every link up and
+        # holding exactly one serializing beacon.
         lockable = full_fleet and len(out_links) > 1
         batch = None
         count = 0
         for link in out_links:
-            if link._drop_filter is not None:
-                self._materialize(link, be_min, commit_min, now)
-                lockable = False
-                continue
             fifo = link._backlog_fifo
             if (
                 link._beacon_fast
@@ -328,7 +327,9 @@ class BeaconFabric:
         self.virtual_beacons += count
         if batch is not None:
             for arrival, links in batch.items():
-                run(arrival, dm).append((links, be_min, commit_min, now))
+                run(arrival, dm).append(
+                    (links, be_min, commit_min, now, auth)
+                )
             if lockable:
                 node._lockstep = _Lockstep(
                     node, now,
@@ -480,15 +481,15 @@ class BeaconFabric:
 
     def _deliver_many(self, groups) -> None:
         """Replay ``Link._deliver`` + ``dst.receive`` for a run of
-        arrival groups ``(links, be, commit, sent_at)`` — one prologue
-        for every group the bucket collected back to back."""
+        arrival groups ``(links, be, commit, sent_at, auth)`` — one
+        prologue for every group the bucket collected back to back."""
         now = self.sim.now
         metrics_on = self._metrics.enabled
         post_merged = self.post_merged
-        for links, be, commit, sent_at in groups:
+        for links, be, commit, sent_at, auth in groups:
             for link in links:
                 if not link._clean and self._link_drops(
-                    link, be, commit, sent_at
+                    link, be, commit, sent_at, auth
                 ):
                     continue
                 dst = link.dst
@@ -503,9 +504,9 @@ class BeaconFabric:
                     # (_OrderingEngineBase._bind_ingress).
                     bslot, cslot, engine, bef, cof, bvals, cvals = bound
                     if not engine._fp:
-                        engine.virtual_beacon(link, be, commit, sent_at)
+                        engine.on_beacon(link, be, commit, sent_at, auth)
                         continue
-                    # ProgrammableChipEngine.virtual_beacon in the steady
+                    # ProgrammableChipEngine.on_beacon in the steady
                     # state (active slots, no dead links), inlined: two
                     # BarrierRegisterFile.update_slot max-merges ...
                     engine._last_rx[link] = now
@@ -559,8 +560,10 @@ class BeaconFabric:
                     # Plain switch / agent-less host — beacon dropped,
                     # exactly like the packet handlers.
                     continue
-                # HostAgent._ingress's beacon branch, inlined (the
-                # fabric never runs under MODE_BFT: no MAC to verify).
+                if agent._bft:
+                    agent.on_beacon(link, be, commit, sent_at, auth)
+                    continue
+                # HostAgent.on_beacon without a MAC to verify, inlined.
                 loss_rng = agent._loss_rng
                 if (
                     loss_rng is not None
@@ -584,7 +587,7 @@ class BeaconFabric:
                     self.post_merged_at(now, agent._flush)
 
     def _link_drops(
-        self, link: "Link", be: int, commit: int, sent_at: int
+        self, link: "Link", be: int, commit: int, sent_at: int, auth: int
     ) -> bool:
         """``Link._deliver``'s drop checks for a link that is not
         ``_clean``: the same draws from the same per-link streams the
@@ -606,13 +609,14 @@ class BeaconFabric:
                 link._m_drop_corruption.add()
             return True
         if link._drop_filter is not None:
-            # Filter installed while this beacon was in flight (a
-            # filtered link materializes at send time instead).
-            # ``_deliver`` shows the filter a packet — so must we.
+            # ``_deliver`` shows the filter a packet — so must we: the
+            # beacon packet the emitter would have sent (host beacons
+            # carry src_host, as Host.send_packet stamps it).
             probe = Packet(PacketKind.BEACON, barrier_ts=be, commit_ts=commit)
             if getattr(link.src, "uplink", None) is not None:
                 probe.src_host = link.src.node_id
             probe.sent_at = sent_at
+            probe.auth = auth
             if link._drop_filter(probe):
                 link.dropped_corruption += 1
                 if metrics_on:
@@ -620,29 +624,8 @@ class BeaconFabric:
                 return True
         return False
 
-    # ------------------------------------------------------------------
-    def _materialize(
-        self,
-        link: "Link",
-        be: int,
-        commit: int,
-        sent_at: int,
-        src_host: str = "",
-    ) -> None:
-        """Fall back to a real beacon packet through ``link.send`` (the
-        link has a drop_filter that must inspect a packet object).
-        Switch-emitted beacons leave ``src_host`` empty, exactly like
-        ``_send_beacons``; host beacons pass the emitting host's id."""
-        beacon = Packet(PacketKind.BEACON, barrier_ts=be, commit_ts=commit)
-        if src_host:
-            beacon.src_host = src_host
-        beacon.sent_at = sent_at
-        self.fallback_beacons += 1
-        link.send(beacon)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<BeaconFabric virtual={self.virtual_beacons} "
-            f"fallback={self.fallback_beacons} "
             f"lockstep_waves={self.lockstep_waves}>"
         )

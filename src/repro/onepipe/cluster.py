@@ -23,7 +23,7 @@ from repro.net.rpc import Directory
 from repro.net.topology import Topology, build_testbed
 from repro.onepipe.analytic import BeaconFabric
 from repro.onepipe.api import OnePipeEndpoint
-from repro.onepipe.config import MODE_BFT, OnePipeConfig
+from repro.onepipe.config import OnePipeConfig
 from repro.onepipe.controller import Controller
 from repro.onepipe.hostagent import HostAgent
 from repro.onepipe.incarnations import make_engine
@@ -51,6 +51,10 @@ class OnePipeCluster:
         # One message-id counter per cluster: a run's ids never depend on
         # what else ran in the Python process.
         self._msg_ids = itertools.count(1)
+        # Every beacon of the cluster travels on the analytic fabric
+        # (repro.onepipe.analytic): an exact replay of the beacon plane
+        # without per-beacon packets or events.
+        self.fabric = BeaconFabric(sim)
 
         self.controller: Optional[Controller] = None
         failure_listener = None
@@ -63,7 +67,9 @@ class OnePipeCluster:
         # Ordering engines on every logical switch.
         self.engines: Dict[str, object] = {}
         for switch_id, switch in self.topology.switches.items():
-            engine = make_engine(sim, self.config, failure_listener)
+            engine = make_engine(
+                sim, self.config, self.fabric, failure_listener
+            )
             switch.install_engine(engine)
             self.engines[switch_id] = engine
             if self.controller is not None:
@@ -79,7 +85,10 @@ class OnePipeCluster:
         # A host agent on every host (beacons from every uplink).
         self.agents: Dict[str, HostAgent] = {}
         for host in self.topology.hosts:
-            agent = HostAgent(host, self.config, self.directory, self.controller)
+            agent = HostAgent(
+                host, self.config, self.directory, self.fabric,
+                self.controller,
+            )
             self.agents[host.node_id] = agent
             if self.controller is not None:
                 self.controller.register_agent(agent)
@@ -106,26 +115,8 @@ class OnePipeCluster:
             if self.controller is not None:
                 self.controller.register_endpoint(endpoint)
 
-        self.fabric: Optional[BeaconFabric] = None
-        if self.config.mode != MODE_BFT:
-            self._install_fabric()
-
         if start_clock_sync:
             self.topology.start_clock_sync()
-
-    def _install_fabric(self) -> None:
-        """Carry beacons on the virtual fabric (repro.onepipe.analytic):
-        an exact replay of the beacon plane without per-beacon packets
-        or events.  Every cluster gets it except MODE_BFT, whose beacons
-        carry per-packet MACs whose verification is part of the threat
-        model under test.  Engines and agents left with ``_fabric`` None
-        send event-level beacon packets — the reference the identity
-        tests compare against (tests/reference.py)."""
-        self.fabric = BeaconFabric(self.sim)
-        for engine in self.engines.values():
-            engine._fabric = self.fabric
-        for agent in self.agents.values():
-            agent._fabric = self.fabric
 
     # ------------------------------------------------------------------
     def endpoint(self, index: int) -> OnePipeEndpoint:

@@ -31,6 +31,7 @@ from repro.net.nic import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.rpc import Directory
 from repro.obs.registry import GLOBAL_METRICS
+from repro.onepipe.analytic import BeaconFabric
 from repro.onepipe.config import MODE_BFT, MODE_CHIP, OnePipeConfig
 from repro.sim import Future
 
@@ -58,6 +59,7 @@ class HostAgent:
         host: Host,
         config: OnePipeConfig,
         directory: Directory,
+        fabric: BeaconFabric,
         controller: Optional["Controller"] = None,
     ) -> None:
         self.sim = host.sim
@@ -102,12 +104,12 @@ class HostAgent:
         self.receiver_drops = 0
         host.egress_hook = self._stamp_egress
         host.ingress_hook = self._ingress
-        # Back-pointer for the virtual beacon fabric's arrival dispatch
-        # (repro.onepipe.analytic); harmless otherwise.
+        # Back-pointer for the beacon fabric's arrival dispatch
+        # (repro.onepipe.analytic).
         host.onepipe_agent = self
-        # The fabric is installed by the cluster outside MODE_BFT (None =
-        # event-level beacons).
-        self._fabric = None
+        # The beacon transport: host beacons and delivery flushes go
+        # through it.
+        self._fabric = fabric
         # Admission control (repro.onepipe.admission): None unless the
         # workload engine installs it, so default runs are untouched.
         self.admission = None
@@ -201,12 +203,6 @@ class HostAgent:
             packet.payload = ("equivocated", packet.payload)
         packet.barrier_ts = self.local_be_barrier(now)
         packet.commit_ts = self.local_commit_barrier(now)
-        if self._bft and packet.kind == PacketKind.BEACON:
-            from repro.byz.keys import mac
-
-            packet.auth = mac(
-                self._host_key, packet.barrier_ts, packet.commit_ts
-            )
 
     def local_be_barrier(self, now: int) -> int:
         """Best-effort barrier promise: the clock, floored at fragments
@@ -249,24 +245,13 @@ class HostAgent:
     # ------------------------------------------------------------------
     # Ingress: barrier extraction + endpoint dispatch
     # ------------------------------------------------------------------
-    def _ingress(self, packet: Packet, _in_link: Link) -> bool:
+    def _ingress(self, packet: Packet, in_link: Link) -> bool:
         kind = packet.kind
         if kind == PacketKind.BEACON:
-            if (
-                self._loss_rng is not None
-                and self._loss_rng.random() < self.receiver_loss_rate
-            ):
-                # A lost beacon stalls this receiver's barrier until the
-                # next one (the paper's Fig. 9b mechanism).
-                self.receiver_drops += 1
-                if self._metrics.enabled:
-                    self._m_rx_drops.add()
-                return True
-            if self._bft and not self._verify_beacon(packet, _in_link):
-                return True
-            if self._metrics.enabled:
-                self._m_beacon_hop.observe(self.sim.now - packet.sent_at)
-            self._update_barriers(packet.barrier_ts, packet.commit_ts)
+            self.on_beacon(
+                in_link, packet.barrier_ts, packet.commit_ts,
+                packet.sent_at, packet.auth,
+            )
             return True
         if kind in _ONEPIPE_KINDS:
             if (
@@ -292,10 +277,39 @@ class HostAgent:
             self._update_barriers(packet.barrier_ts, packet.commit_ts)
         return False  # RAW and RDMA traffic continues to normal delivery
 
+    def on_beacon(
+        self, in_link: Link, be: int, commit: int, sent_at: int, auth: int
+    ) -> None:
+        """A downlink beacon: its barriers, emission instant and
+        simulated MAC (0 unless the emitter runs MODE_BFT)."""
+        if (
+            self._loss_rng is not None
+            and self._loss_rng.random() < self.receiver_loss_rate
+        ):
+            # A lost beacon stalls this receiver's barrier until the
+            # next one (the paper's Fig. 9b mechanism).
+            self.receiver_drops += 1
+            if self._metrics.enabled:
+                self._m_rx_drops.add()
+            return
+        if self._bft and not self._verify_beacon(in_link, be, commit, auth):
+            return
+        if self._metrics.enabled:
+            self._m_beacon_hop.observe(self.sim.now - sent_at)
+        self._update_barriers(be, commit)
+
     # ------------------------------------------------------------------
     # BFT hardening (MODE_BFT; docs/BYZANTINE.md)
     # ------------------------------------------------------------------
-    def _verify_beacon(self, packet: Packet, in_link: Link) -> bool:
+    def _beacon_auth(self, be: int, commit: int) -> int:
+        """Simulated MAC over this host's beacon barriers (MODE_BFT)."""
+        from repro.byz.keys import mac
+
+        return mac(self._host_key, be, commit)
+
+    def _verify_beacon(
+        self, in_link: Link, be: int, commit: int, auth: int
+    ) -> bool:
         """Check a downlink beacon's simulated MAC against its emitter.
 
         An invalid tag means the emitting switch lied about (or could
@@ -307,10 +321,7 @@ class HostAgent:
         from repro.byz.keys import mac
 
         emitter = in_link.src.node_id
-        expected = mac(
-            self._keys.key_of(emitter), packet.barrier_ts, packet.commit_ts
-        )
-        if packet.auth == expected:
+        if auth == mac(self._keys.key_of(emitter), be, commit):
             return True
         self.beacons_rejected += 1
         if self._metrics.enabled:
@@ -325,7 +336,7 @@ class HostAgent:
                 self.host.node_id,
                 emitter,
                 f"beacon auth failure at host ingress "
-                f"(be={packet.barrier_ts} commit={packet.commit_ts})",
+                f"(be={be} commit={commit})",
             )
         return False
 
@@ -351,11 +362,7 @@ class HostAgent:
             changed = True
         if changed and not self._flush_scheduled:
             self._flush_scheduled = True
-            fabric = self._fabric
-            if fabric is None:
-                self.sim.post(0, self._flush)
-            else:
-                fabric.post_merged_at(self.sim.now, self._flush)
+            self._fabric.post_merged_at(self.sim.now, self._flush)
 
     # Artificial extra delivery delay (reorder-overhead study, Fig. 11):
     # barriers handed to receivers are held back by this much.
@@ -395,12 +402,7 @@ class HostAgent:
         self.beacons_sent += 1
         if self._metrics.enabled:
             self._m_beacons.add()
-        fabric = self._fabric
-        if fabric is not None:
-            fabric.host_beacon(self)  # virtual send, same clock schedule
-            return
-        # src/dst -1 (node-level); the egress hook stamps the barriers.
-        self.host.send_packet(Packet(PacketKind.BEACON))
+        self._fabric.host_beacon(self)
 
     # ------------------------------------------------------------------
     # Failure handling, host side (§5.2)

@@ -29,6 +29,7 @@ from typing import Callable, Dict, Optional, Tuple
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
 from repro.net.switch import Switch
+from repro.onepipe.analytic import BeaconFabric
 from repro.obs.registry import GLOBAL_METRICS
 from repro.onepipe.barrier import BarrierRegisterFile
 from repro.onepipe.config import (
@@ -51,6 +52,7 @@ class _OrderingEngineBase:
         self,
         sim: Simulator,
         config: OnePipeConfig,
+        fabric: BeaconFabric,
         failure_listener: Optional[FailureListener] = None,
     ) -> None:
         self.sim = sim
@@ -59,9 +61,9 @@ class _OrderingEngineBase:
         self.switch: Optional[Switch] = None
         self.be = BarrierRegisterFile()
         self.commit = BarrierRegisterFile()
-        # The virtual beacon fabric, installed by the cluster outside
-        # MODE_BFT (None = event-level beacons).
-        self._fabric = None
+        # The beacon transport (repro.onepipe.analytic): emissions,
+        # cascade relays and their settle windows all go through it.
+        self._fabric = fabric
         self._last_rx: Dict[Link, int] = {}
         self._dead: set = set()
         # Conservative lower bounds for the periodic scans: ``_rx_floor``
@@ -84,8 +86,7 @@ class _OrderingEngineBase:
         self._m_beacons = metrics.counter("engine.beacons_sent")
         self._m_dead_links = metrics.counter("engine.links_declared_dead")
         # One-hop beacon latency as seen at this engine's ingress
-        # (emitting node stamps sent_at; see _send_beacons and
-        # Host.send_packet).
+        # (every beacon record carries its emission instant).
         self._m_beacon_hop = metrics.histogram("engine.beacon_hop_ns")
         # Cascade state: barrier waves propagate with a short settle
         # window per hop instead of waiting a full beacon tick — with
@@ -148,8 +149,8 @@ class _OrderingEngineBase:
         """Bind the in-link's ingress record: everything the per-packet
         and per-beacon hot paths would otherwise chase through this
         engine, in one tuple — both interned slots first (``on_packet``
-        indexes them), then this engine, both register files and their
-        value lists.  A link has exactly one destination engine, so
+        and ``on_beacon`` index them), then this engine, both register
+        files and their value lists.  A link has exactly one destination engine, so
         hanging the record off the link is safe; re-bound on rejoin
         (fresh slots)."""
         be = self.be
@@ -292,21 +293,11 @@ class _OrderingEngineBase:
         commit_min = self.commit._min_cache
         if commit_min is None:
             commit_min = self.commit.minimum()
-        fabric = self._fabric
-        if fabric is None:
-            self.sim.post(
-                self.switch.forwarding_delay_ns,
-                self._send_beacons,
-                out_links,
-                be_min,
-                commit_min,
-            )
-        else:
-            fabric.post_merged(
-                self.switch.forwarding_delay_ns,
-                self._send_beacons,
-                (out_links, be_min, commit_min),
-            )
+        self._fabric.post_merged(
+            self.switch.forwarding_delay_ns,
+            self._send_beacons,
+            (out_links, be_min, commit_min),
+        )
 
     def _send_beacons(self, out_links, be_min: int, commit_min: int) -> None:
         switch = self.switch
@@ -320,36 +311,16 @@ class _OrderingEngineBase:
         auth = self._beacon_auth(be_min, commit_min)
         corrupt = self.beacon_corruption_ns
         if corrupt:
-            # Applied to the emitted values only — including under the
-            # fabric, which transports the already-corrupted minima
-            # (the lie is wire-level, not a local state corruption).
+            # Applied to the emitted values only: the lie is wire-level,
+            # not a local state corruption.
             be_min = max(0, be_min + corrupt)
             commit_min = max(0, commit_min + corrupt)
-        fabric = self._fabric
-        if fabric is not None:
-            # Virtual transport (auth is always 0 here: the cluster
-            # never installs the fabric under MODE_BFT).
-            fabric.emit(out_links, be_min, commit_min)
-            if out_links is switch.out_links:
-                # Full-fleet emission: every output link's last_tx_time
-                # is exactly now (sends stamp it even when the link is
-                # down or dropping), so the idle-scan floor is exact.
-                self._tx_floor = self.sim.now
-            return
-        now = self.sim.now
-        for link in out_links:
-            beacon = Packet(
-                PacketKind.BEACON, barrier_ts=be_min, commit_ts=commit_min
-            )
-            # Engine beacons bypass Host.send_packet, which is where
-            # host-emitted packets get sent_at; stamp here so per-hop
-            # beacon-latency histograms see the true emission time.
-            beacon.sent_at = now
-            if auth:
-                beacon.auth = auth
-            link.send(beacon)
+        self._fabric.emit(out_links, be_min, commit_min, auth)
         if out_links is switch.out_links:
-            self._tx_floor = now
+            # Full-fleet emission: every output link's last_tx_time is
+            # exactly now (sends stamp it even when the link is down or
+            # dropping), so the idle-scan floor is exact.
+            self._tx_floor = self.sim.now
 
     def _beacon_auth(self, be_min: int, commit_min: int) -> int:
         """Simulated MAC for emitted beacons; 0 outside MODE_BFT."""
@@ -374,13 +345,7 @@ class _OrderingEngineBase:
         ):
             return
         self._cascade_pending = True
-        fabric = self._fabric
-        if fabric is None:
-            self.sim.post(self.config.cascade_settle_ns, self._cascade_fire)
-        else:
-            fabric.post_merged(
-                self.config.cascade_settle_ns, self._cascade_fire
-            )
+        self._fabric.post_merged(self._settle_ns, self._cascade_fire)
 
     def _cascade_fire(self) -> None:
         self._cascade_pending = False
@@ -431,6 +396,19 @@ class _OrderingEngineBase:
                 self._emit_beacons(idle)
 
     def on_packet(self, packet: Packet, in_link: Link) -> bool:
+        """A data packet (and every non-beacon kind) at ingress; True to
+        forward it."""
+        raise NotImplementedError
+
+    def on_beacon(
+        self, in_link: Link, be_ts: int, commit_ts: int, sent_at: int,
+        auth: int,
+    ) -> None:
+        """A beacon from ``in_link``: its barriers, emission instant and
+        simulated MAC (0 unless the emitter runs MODE_BFT).  Beacons are
+        strictly hop-by-hop — consumed here, relayed by the cascade.
+        The transport has already replayed ``Switch.receive``'s failed
+        check and rx accounting."""
         raise NotImplementedError
 
 
@@ -465,39 +443,20 @@ class ProgrammableChipEngine(_OrderingEngineBase):
         commit_min = commit._min_cache
         if commit_min is None:
             commit_min = commit.minimum()
-        if packet.kind == PacketKind.BEACON:
-            # Beacons are strictly hop-by-hop; consumed here, relayed by
-            # the cascade below.
-            if self._metrics.enabled:
-                self._m_beacon_hop.observe(self.sim.now - packet.sent_at)
-            forward = False
-        else:
-            packet.barrier_ts = be_min
-            packet.commit_ts = commit_min
-            forward = True
+        packet.barrier_ts = be_min
+        packet.commit_ts = commit_min
         # _maybe_cascade, inlined with the minima already in hand.
         if not self._cascade_pending and (
             be_min > self._emitted_be or commit_min > self._emitted_commit
         ):
             self._cascade_pending = True
-            fabric = self._fabric
-            if fabric is None:
-                self.sim.post(
-                    self.config.cascade_settle_ns, self._cascade_fire
-                )
-            else:
-                fabric.post_merged(
-                    self.config.cascade_settle_ns, self._cascade_fire
-                )
-        return forward
+            self._fabric.post_merged(self._settle_ns, self._cascade_fire)
+        return True
 
-    def virtual_beacon(
-        self, in_link: Link, be_ts: int, commit_ts: int, sent_at: int
+    def on_beacon(
+        self, in_link: Link, be_ts: int, commit_ts: int, sent_at: int,
+        auth: int,
     ) -> None:
-        """Fabric ingress: ``on_packet``'s beacon branch, line for line,
-        for a beacon that travelled virtually (no packet to consume).
-        The fabric has already replayed ``Switch.receive``'s failed
-        check and rx accounting."""
         self._last_rx[in_link] = self.sim.now
         if self._dead and in_link in self._dead:
             self.rejoin_link(in_link)
@@ -518,15 +477,7 @@ class ProgrammableChipEngine(_OrderingEngineBase):
             be_min > self._emitted_be or commit_min > self._emitted_commit
         ):
             self._cascade_pending = True
-            fabric = self._fabric
-            if fabric is None:
-                self.sim.post(
-                    self.config.cascade_settle_ns, self._cascade_fire
-                )
-            else:
-                fabric.post_merged(
-                    self.config.cascade_settle_ns, self._cascade_fire
-                )
+            self._fabric.post_merged(self._settle_ns, self._cascade_fire)
 
     def _links_needing_beacons(self, now: int) -> list:
         # Chip mode: any forwarded *data* packet refreshes barriers, so
@@ -560,10 +511,11 @@ class SwitchCpuEngine(_OrderingEngineBase):
         self,
         sim: Simulator,
         config: OnePipeConfig,
+        fabric: BeaconFabric,
         failure_listener: Optional[FailureListener] = None,
         processing_delay_ns: Optional[int] = None,
     ) -> None:
-        super().__init__(sim, config, failure_listener)
+        super().__init__(sim, config, fabric, failure_listener)
         self.processing_delay_ns = (
             processing_delay_ns
             if processing_delay_ns is not None
@@ -585,16 +537,26 @@ class SwitchCpuEngine(_OrderingEngineBase):
         self._buf_links: list = []
         self._flush_pending = False
 
-    def _buffer_beacon(
-        self, in_link: Link, barrier_ts: int, commit_ts: int
+    def on_packet(self, packet: Packet, in_link: Link) -> bool:
+        if self.switch.failed:
+            return False
+        self._note_arrival(in_link)
+        return True  # data forwarded by the chip, barriers untouched
+
+    def on_beacon(
+        self, in_link: Link, be_ts: int, commit_ts: int, sent_at: int,
+        auth: int,
     ) -> None:
-        buffered = getattr(in_link, "_cpu_buf", None)
+        self._note_arrival(in_link)
+        if self._metrics.enabled:
+            self._m_beacon_hop.observe(self.sim.now - sent_at)
+        buffered = in_link._cpu_buf
         if buffered is None:
-            in_link._cpu_buf = [barrier_ts, commit_ts]
+            in_link._cpu_buf = [be_ts, commit_ts]
             self._buf_links.append(in_link)
         else:
-            if barrier_ts > buffered[0]:
-                buffered[0] = barrier_ts
+            if be_ts > buffered[0]:
+                buffered[0] = be_ts
             if commit_ts > buffered[1]:
                 buffered[1] = commit_ts
         if not self._flush_pending:
@@ -603,27 +565,6 @@ class SwitchCpuEngine(_OrderingEngineBase):
                 int(self.processing_delay_ns * self.straggle_factor),
                 self._cpu_flush,
             )
-
-    def on_packet(self, packet: Packet, in_link: Link) -> bool:
-        if self.switch.failed:
-            return False
-        self._note_arrival(in_link)
-        if packet.kind == PacketKind.BEACON:
-            if self._metrics.enabled:
-                self._m_beacon_hop.observe(self.sim.now - packet.sent_at)
-            self._buffer_beacon(in_link, packet.barrier_ts, packet.commit_ts)
-            return False
-        return True  # data forwarded by the chip, barriers untouched
-
-    def virtual_beacon(
-        self, in_link: Link, be_ts: int, commit_ts: int, sent_at: int
-    ) -> None:
-        """Fabric ingress: ``on_packet``'s beacon branch for a beacon
-        that travelled virtually."""
-        self._note_arrival(in_link)
-        if self._metrics.enabled:
-            self._m_beacon_hop.observe(self.sim.now - sent_at)
-        self._buffer_beacon(in_link, be_ts, commit_ts)
 
     def _apply_straggler(self) -> None:
         # The chip still forwards data at full speed; only the CPU (or
@@ -671,11 +612,13 @@ class HostDelegationEngine(SwitchCpuEngine):
         self,
         sim: Simulator,
         config: OnePipeConfig,
+        fabric: BeaconFabric,
         failure_listener: Optional[FailureListener] = None,
     ) -> None:
         super().__init__(
             sim,
             config,
+            fabric,
             failure_listener,
             processing_delay_ns=config.host_delegate_delay_ns,
         )
@@ -708,9 +651,10 @@ class BftChipEngine(ProgrammableChipEngine):
         self,
         sim: Simulator,
         config: OnePipeConfig,
+        fabric: BeaconFabric,
         failure_listener: Optional[FailureListener] = None,
     ) -> None:
-        super().__init__(sim, config, failure_listener)
+        super().__init__(sim, config, fabric, failure_listener)
         from repro.byz.keys import get_key_registry
 
         self._keys = get_key_registry(sim)
@@ -778,57 +722,45 @@ class BftChipEngine(ProgrammableChipEngine):
         return staged_be, staged_commit
 
     # ------------------------------------------------------------------
+    def on_beacon(
+        self, in_link: Link, be_ts: int, commit_ts: int, sent_at: int,
+        auth: int,
+    ) -> None:
+        from repro.byz.keys import mac
+
+        emitter = in_link.src.node_id
+        if auth != mac(self._keys.key_of(emitter), be_ts, commit_ts):
+            # Forged or corrupted: drop before liveness/register
+            # bookkeeping (the link looks silent) and accuse once.
+            self.beacons_rejected += 1
+            if self._metrics.enabled:
+                if self._m_byz_rejected is None:
+                    self._m_byz_rejected = self._metrics.counter(
+                        "byz.beacons_rejected"
+                    )
+                self._m_byz_rejected.add()
+            self._accuse(
+                emitter,
+                f"beacon auth failure on {in_link.name} "
+                f"(be={be_ts} commit={commit_ts})",
+            )
+            return
+        self._note_arrival(in_link)
+        if self._metrics.enabled:
+            self._m_beacon_hop.observe(self.sim.now - sent_at)
+        staged_be, staged_commit = self._staged_minima(
+            in_link, be_ts, commit_ts
+        )
+        be = self.be
+        commit = self.commit
+        if be.has_link(in_link):
+            be.update(in_link, staged_be)
+        if commit.has_link(in_link):
+            commit.update(in_link, staged_commit)
+        self._maybe_cascade()
+
     def on_packet(self, packet: Packet, in_link: Link) -> bool:
         if self.switch.failed:
-            return False
-        if packet.kind == PacketKind.BEACON:
-            from repro.byz.keys import mac
-
-            emitter = in_link.src.node_id
-            expected = mac(
-                self._keys.key_of(emitter),
-                packet.barrier_ts,
-                packet.commit_ts,
-            )
-            if packet.auth != expected:
-                # Forged or corrupted: drop before liveness/register
-                # bookkeeping (the link looks silent) and accuse once.
-                self.beacons_rejected += 1
-                if self._metrics.enabled:
-                    if self._m_byz_rejected is None:
-                        self._m_byz_rejected = self._metrics.counter(
-                            "byz.beacons_rejected"
-                        )
-                    self._m_byz_rejected.add()
-                self._accuse(
-                    emitter,
-                    f"beacon auth failure on {in_link.name} "
-                    f"(be={packet.barrier_ts} commit={packet.commit_ts})",
-                )
-                return False
-            self._last_rx[in_link] = self.sim.now
-            if self._dead and in_link in self._dead:
-                self.rejoin_link(in_link)
-            if self._metrics.enabled:
-                self._m_beacon_hop.observe(self.sim.now - packet.sent_at)
-            staged_be, staged_commit = self._staged_minima(
-                in_link, packet.barrier_ts, packet.commit_ts
-            )
-            be = self.be
-            commit = self.commit
-            if be.has_link(in_link):
-                be.update(in_link, staged_be)
-            if commit.has_link(in_link):
-                commit.update(in_link, staged_commit)
-            be_min = be.minimum()
-            commit_min = commit.minimum()
-            if not self._cascade_pending and (
-                be_min > self._emitted_be or commit_min > self._emitted_commit
-            ):
-                self._cascade_pending = True
-                self.sim.post(
-                    self.config.cascade_settle_ns, self._cascade_fire
-                )
             return False
         # Data path: identical to the chip incarnation.  Data barrier
         # stamps are bounded by the beacon plane (each hop's registers
@@ -866,15 +798,16 @@ class BftChipEngine(ProgrammableChipEngine):
 def make_engine(
     sim: Simulator,
     config: OnePipeConfig,
+    fabric: BeaconFabric,
     failure_listener: Optional[FailureListener] = None,
 ):
     """Engine factory for the configured incarnation."""
     if config.mode == MODE_CHIP:
-        return ProgrammableChipEngine(sim, config, failure_listener)
+        return ProgrammableChipEngine(sim, config, fabric, failure_listener)
     if config.mode == MODE_SWITCH_CPU:
-        return SwitchCpuEngine(sim, config, failure_listener)
+        return SwitchCpuEngine(sim, config, fabric, failure_listener)
     if config.mode == MODE_HOST_DELEGATE:
-        return HostDelegationEngine(sim, config, failure_listener)
+        return HostDelegationEngine(sim, config, fabric, failure_listener)
     if config.mode == MODE_BFT:
-        return BftChipEngine(sim, config, failure_listener)
+        return BftChipEngine(sim, config, fabric, failure_listener)
     raise ValueError(f"unknown mode {config.mode!r}")

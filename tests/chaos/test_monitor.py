@@ -141,7 +141,6 @@ class TestBrokenOrderingIsCaught:
         and a stale beacon is sent down the ToR→host link through the
         fabric's own emission entry point."""
         sim, cluster = build(seed=13)
-        assert cluster.fabric is not None
         agent = cluster.endpoint(0).agent
         correct_flush = agent._flush
 
@@ -158,7 +157,7 @@ class TestBrokenOrderingIsCaught:
         assert cluster.fabric.virtual_beacons > 0
         assert monitor.barrier_checks > 100
         assert monitor.violations == []
-        cluster.fabric.emit([agent.host.downlink], 2, 1)
+        cluster.fabric.emit([agent.host.downlink], 2, 1, 0)
         sim.run(until=sim.now + 3_000)
         violations = [
             v for v in monitor.violations

@@ -1,9 +1,14 @@
-"""Unit tests for the three in-network incarnations (§6.2)."""
+"""Unit tests for the three in-network incarnations (§6.2).
+
+Engines are built standalone, each with its own beacon fabric; beacons
+enter through ``on_beacon``, data through ``on_packet``.
+"""
 
 import pytest
 
 from repro.net import PacketKind, build_single_rack
 from repro.net.packet import Packet
+from repro.onepipe.analytic import BeaconFabric
 from repro.onepipe.config import OnePipeConfig
 from repro.onepipe.incarnations import (
     HostDelegationEngine,
@@ -20,7 +25,7 @@ def rig():
     sim = Simulator(seed=1)
     topo, hosts = build_single_rack(sim, n_hosts=3)
     switch = topo.switches["tor0.0.up"]
-    engine = ProgrammableChipEngine(sim, OnePipeConfig())
+    engine = ProgrammableChipEngine(sim, OnePipeConfig(), BeaconFabric(sim))
     switch.install_engine(engine)
     in_links = [h.uplink for h in hosts]
     return sim, switch, engine, in_links
@@ -28,6 +33,11 @@ def rig():
 
 def barrier_packet(barrier, commit=0, kind=PacketKind.DATA):
     return Packet(kind, barrier_ts=barrier, commit_ts=commit, dst_host="h0")
+
+
+def beacon(engine, link, barrier, commit=0):
+    """A beacon emitted now, unauthenticated (fail-stop modes)."""
+    engine.on_beacon(link, barrier, commit, engine.sim.now, 0)
 
 
 class TestChipEngine:
@@ -52,8 +62,12 @@ class TestChipEngine:
 
     def test_beacons_consumed_not_forwarded(self, rig):
         sim, switch, engine, links = rig
-        beacon = barrier_packet(10, kind=PacketKind.BEACON)
-        assert engine.on_packet(beacon, links[0]) is False
+        forwarded = []
+        switch._forward_cb = forwarded.append
+        switch.receive(barrier_packet(10, kind=PacketKind.BEACON), links[0])
+        sim.run(until=1_000)
+        assert forwarded == []
+        assert engine.be.register_value(links[0]) == 10
 
     def test_commit_plane_independent_of_be_plane(self, rig):
         sim, switch, engine, links = rig
@@ -86,6 +100,7 @@ class TestChipEngine:
         engine = ProgrammableChipEngine(
             sim,
             OnePipeConfig(),
+            BeaconFabric(sim),
             failure_listener=lambda sw, link, ts: reports.append((sw, link, ts)),
         )
         switch.install_engine(engine)
@@ -116,7 +131,9 @@ class TestCpuEngines:
         sim = Simulator(seed=3)
         topo, hosts = build_single_rack(sim, n_hosts=2)
         switch = topo.switches["tor0.0.up"]
-        engine = SwitchCpuEngine(sim, OnePipeConfig(mode="switch_cpu"))
+        engine = SwitchCpuEngine(
+            sim, OnePipeConfig(mode="switch_cpu"), BeaconFabric(sim)
+        )
         switch.install_engine(engine)
         pkt = barrier_packet(12345)
         assert engine.on_packet(pkt, hosts[0].uplink) is True
@@ -127,10 +144,9 @@ class TestCpuEngines:
         topo, hosts = build_single_rack(sim, n_hosts=2)
         switch = topo.switches["tor0.0.up"]
         config = OnePipeConfig(mode="switch_cpu", switch_cpu_delay_ns=5_000)
-        engine = SwitchCpuEngine(sim, config)
+        engine = SwitchCpuEngine(sim, config, BeaconFabric(sim))
         switch.install_engine(engine)
-        beacon = barrier_packet(500, kind=PacketKind.BEACON)
-        engine.on_packet(beacon, hosts[0].uplink)
+        beacon(engine, hosts[0].uplink, 500)
         assert engine.be.register_value(hosts[0].uplink) == 0
         sim.run(until=5_100)
         assert engine.be.register_value(hosts[0].uplink) == 500
@@ -138,7 +154,7 @@ class TestCpuEngines:
     def test_host_delegate_uses_configured_delay(self):
         sim = Simulator(seed=3)
         config = OnePipeConfig(mode="host_delegate", host_delegate_delay_ns=7_000)
-        engine = HostDelegationEngine(sim, config)
+        engine = HostDelegationEngine(sim, config, BeaconFabric(sim))
         assert engine.processing_delay_ns == 7_000
 
 
@@ -153,7 +169,7 @@ class TestFactory:
     )
     def test_make_engine(self, mode, cls):
         sim = Simulator()
-        engine = make_engine(sim, OnePipeConfig(mode=mode))
+        engine = make_engine(sim, OnePipeConfig(mode=mode), BeaconFabric(sim))
         assert type(engine) is cls
 
     def test_bad_mode_rejected(self):

@@ -10,7 +10,8 @@ unlocks first.  Three angles:
   meet a lock, and compares per-link statistics, queue state, read
   results and per-host barrier sequences with the same script on
   event-level beacon packets (tests/reference.py);
-- one test per hook, which fails when that hook is removed;
+- one test per hook, which fails when that hook is removed, and one
+  for the assignment that is deliberately not a hook (a drop filter);
 - the two regressions the prototype met: ``lockstep_waves`` counts on a
   clean run, and a relay swallowed by a crashed switch drops its engine
   off the fast ingress (``_cascade_fire``'s early return).
@@ -124,8 +125,8 @@ def _run_script(n_hosts, mode, script):
     return {
         "reads": reads,
         # Sorted: hosts flushing at one instant are independent, and a
-        # materialized beacon (filtered link) is its own event, so their
-        # order within the instant is not part of the contract.
+        # beacon packet is its own event, so their order within the
+        # instant is not part of the contract.
         "flushes": sorted(flushes),
         # tx_packets first: it settles, so the raw fields after it are
         # what an eager run would hold.
@@ -140,9 +141,7 @@ def _run_script(n_hosts, mode, script):
             for l in links
         ],
         "beacons": cluster.total_beacons(),
-        "lockstep_waves": (
-            cluster.fabric.lockstep_waves if cluster.fabric else None
-        ),
+        "lockstep_waves": getattr(cluster.fabric, "lockstep_waves", None),
     }
 
 
@@ -202,44 +201,88 @@ def _attach_spare_link(link):
     switch.attach_out_link(spare)
 
 
-# action(link) -> None, and whether it must release the lock (a
-# disturbance) or only settle it (a read).
+# action(link) -> None, and what it must do to the lock: release it (a
+# disturbance), settle it (a read), or nothing (a drop filter acts at
+# delivery only, which the lock does not owe).
 _HOOKS = {
     "send": (
         lambda link: link.send(Packet(PacketKind.RAW, payload_bytes=400)),
-        True,
+        "unlock",
     ),
-    "fail": (Link.fail, True),
-    "set_degradation": (lambda link: link.set_degradation(0.5, 10), True),
-    "clear_degradation": (Link.clear_degradation, True),
+    "fail": (Link.fail, "unlock"),
+    "set_degradation": (
+        lambda link: link.set_degradation(0.5, 10), "unlock"
+    ),
+    "clear_degradation": (Link.clear_degradation, "unlock"),
     "drop_filter": (
         lambda link: setattr(link, "drop_filter", lambda packet: False),
-        True,
+        None,
     ),
-    "attach_out_link": (_attach_spare_link, True),
+    "attach_out_link": (_attach_spare_link, "unlock"),
     # Draining retires the serialized beacon the lock's shape stands on.
-    "queue_bytes": (lambda link: link.queue_bytes, True),
-    "tx_packets": (lambda link: link.tx_packets, False),
-    "tx_bytes": (lambda link: link.tx_bytes, False),
-    "last_tx_time": (lambda link: link.last_tx_time, False),
+    "queue_bytes": (lambda link: link.queue_bytes, "unlock"),
+    "tx_packets": (lambda link: link.tx_packets, "settle"),
+    "tx_bytes": (lambda link: link.tx_bytes, "settle"),
+    "last_tx_time": (lambda link: link.last_tx_time, "settle"),
 }
 
 
 @pytest.mark.parametrize("hook", sorted(_HOOKS))
 def test_hook_settles_owed_accounting(hook):
-    action, unlocks = _HOOKS[hook]
+    action, effect = _HOOKS[hook]
     sim, _cluster, switch, lock = _locked_rack()
     owed, last = lock.owed, lock.last
     links = list(switch.out_links)
     before = [link._tx_packets for link in links]
     action(links[1])
+    if effect is None:
+        assert switch._lockstep is lock and lock.owed == owed > 0
+        assert [link._tx_packets for link in links] == before
+        return
     assert lock.owed == 0
     # Every link of the fleet is settled, not only the one touched
     # (links[0] is never the touched one, so its counters are exact).
     assert links[0]._tx_packets == before[0] + owed
     assert links[0]._last_tx_time == last
     assert links[0]._busy_until == last + links[0]._beacon_ser_ns
-    assert (switch._lockstep is None) == unlocks
+    assert (switch._lockstep is None) == (effect == "unlock")
+
+
+def _filtered_rack():
+    """A locked rack whose downlinks gain a dropping and a passing
+    filter mid-run."""
+    sim, cluster, switch = _rack(4)
+    flushes = _record_flushes(sim, cluster)
+    sim.run(until=20_000)
+    links = switch.out_links
+    links[1].drop_filter = lambda packet: packet.kind == PacketKind.BEACON
+    links[2].drop_filter = lambda packet: False
+    waves = getattr(cluster.fabric, "lockstep_waves", None)
+    sim.run(until=60_000)
+    return {
+        "flushes": sorted(flushes),
+        "links": [
+            (l.tx_packets, l.last_tx_time, l.dropped_corruption,
+             l._busy_until, l._backlog_bytes)
+            for l in links
+        ],
+        "beacons": cluster.total_beacons(),
+        "locked_waves": (
+            None if waves is None
+            else (switch._lockstep is not None,
+                  cluster.fabric.lockstep_waves - waves)
+        ),
+    }
+
+
+def test_drop_filter_keeps_the_lock_and_matches_packet_beacons():
+    fabric = _filtered_rack()
+    reference = on_packet_beacons(_filtered_rack)
+    locked, waves = fabric.pop("locked_waves")
+    assert reference.pop("locked_waves") is None
+    assert fabric == reference
+    assert locked and waves > 0, "filtered links must not unlock the rack"
+    assert fabric["links"][1][2] > 0, "the dropping filter must drop"
 
 
 def test_partial_emission_unlocks():
@@ -247,7 +290,7 @@ def test_partial_emission_unlocks():
     owed = lock.owed
     link = switch.out_links[1]
     before = link._tx_packets
-    cluster.fabric.emit([link], 1, 1)
+    cluster.fabric.emit([link], 1, 1, 0)
     assert switch._lockstep is None and lock.owed == 0
     assert link._tx_packets == before + owed + 1
     assert link._last_tx_time == sim.now
@@ -274,7 +317,7 @@ def test_hosts_never_lock():
     so not even a full-fleet emission of a host's one link takes one."""
     sim, cluster, _switch, _lock = _locked_rack()
     host = cluster.endpoint(0).agent.host
-    cluster.fabric.emit(host.out_links, 1, 1)
+    cluster.fabric.emit(host.out_links, 1, 1, 0)
     assert host._lockstep is None
     assert all(
         agent.host._lockstep is None for agent in cluster.agents.values()
@@ -288,7 +331,6 @@ def test_lockstep_waves_on_clean_k4():
     sim.run(until=100_000)
     fabric = cluster.fabric
     assert 0 < fabric.lockstep_waves
-    assert fabric.fallback_beacons == 0
     # Owed or written, a beacon is counted once: an idle cluster's
     # links carry nothing else.
     assert fabric.virtual_beacons == sum(

@@ -1,16 +1,16 @@
 """Reference implementations reachable only from tests.
 
-**Packet-level beacons.**
-
-Outside ``MODE_BFT`` every cluster carries its beacons on the virtual
-fabric (``repro.onepipe.analytic``); the event-level beacon code stays
-in ``src/`` for BFT and for the per-link ``drop_filter`` fallback.  To
-compare the fabric against it, build the cluster under
-:func:`on_packet_beacons`: ``OnePipeCluster._install_fabric`` becomes a
-no-op, so engines and host agents keep ``_fabric = None`` and send one
-packet per beacon.  This is the only way to obtain that
-configuration — there is no constructor argument, config field or CLI
-flag for it.
+**Packet-level beacons.**  Every cluster, in every mode, carries its
+beacons on the analytic fabric (``repro.onepipe.analytic``).
+:class:`PacketBeacons` is the transport the fabric replays: one packet
+per beacon per hop through ``Link.send``, with the fabric's four entry
+points (``emit``, ``host_beacon``, ``post_merged``, ``post_merged_at``).
+Build a cluster under :func:`on_packet_beacons` to get it in place of
+the fabric; its packets reach ``on_beacon`` through ``Switch.receive``
+and ``HostAgent._ingress``, the same entry the fabric calls.  This is
+the only way to obtain that configuration — nothing under ``src/``
+builds a ``PacketBeacons``, and no config field or CLI flag asks for
+one.
 
 **Per-host routing.**  :func:`per_host_routes` is the routing
 computation ``repro.net.routing`` used before it routed by destination
@@ -39,18 +39,51 @@ import networkx as nx
 
 from repro.net.link import Link
 from repro.net.nic import Host
+from repro.net.packet import Packet, PacketKind
 from repro.net.switch import Switch
-from repro.onepipe.cluster import OnePipeCluster
+from repro.onepipe import cluster as cluster_module
 from repro.onepipe.failure import DeadLinkReport, failure_timestamp
+
+
+class PacketBeacons:
+    """The event-level beacon transport: a packet and a delivery event
+    per beacon per hop, and a plain scheduler event per post."""
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+
+    def emit(self, out_links, be_min, commit_min, auth) -> None:
+        now = self.sim.now
+        for link in out_links:
+            beacon = Packet(
+                PacketKind.BEACON, barrier_ts=be_min, commit_ts=commit_min,
+                sent_at=now,
+            )
+            beacon.auth = auth
+            link.send(beacon)
+
+    def host_beacon(self, agent) -> None:
+        # src/dst -1 (node-level); the egress hook stamps the barriers.
+        beacon = Packet(PacketKind.BEACON)
+        agent.host.send_packet(beacon)
+        if agent._bft:
+            # Read at arrival only, so tagging after the send is exact.
+            beacon.auth = agent._beacon_auth(
+                beacon.barrier_ts, beacon.commit_ts
+            )
+
+    def post_merged(self, delay, fn, args=()) -> None:
+        self.sim.post(delay, fn, *args)
+
+    def post_merged_at(self, t, fn, args=()) -> None:
+        self.sim.post_at(t, fn, *args)
 
 
 def on_packet_beacons(fn, *args, **kwargs):
     """``fn(*args, **kwargs)`` with every cluster it *constructs* on
-    event-level beacons for that cluster's whole life (the transport is
-    chosen once, at construction)."""
-    with mock.patch.object(
-        OnePipeCluster, "_install_fabric", lambda cluster: None
-    ):
+    :class:`PacketBeacons` for that cluster's whole life (the transport
+    is chosen once, at construction)."""
+    with mock.patch.object(cluster_module, "BeaconFabric", PacketBeacons):
         return fn(*args, **kwargs)
 
 

@@ -18,7 +18,7 @@ from repro.verify.episodes import extract_observation
 from repro.verify.oracle import ReferenceOracle
 from repro.workload.runner import run_shard
 from repro.workload.scenarios import get_scenario
-from tests.reference import on_packet_beacons
+from tests.reference import PacketBeacons, on_packet_beacons
 
 SCENARIOS = ("hotspot", "flash_crowd", "retry_storm")
 
@@ -76,7 +76,7 @@ def test_oracle_clean_at_saturation_packet_beacons(name):
     oracle stays clean and the shard report is byte-identical."""
     _, (fabric_report, _run) = run_raw(name)
     _, (packet_report, run) = on_packet_beacons(run_raw, name)
-    assert run["cluster"].fabric is None
+    assert isinstance(run["cluster"].fabric, PacketBeacons)
     assert dumps_stable(packet_report) == dumps_stable(fabric_report)
     observation = extract_observation(
         run["sim"], run["cluster"], run["app"].records
