@@ -291,7 +291,7 @@ def cmd_hyperscale(args) -> int:
         overrides["windows"] = args.windows
     scenario = replace(scenario, **overrides)
 
-    report = run_hyperscale(scenario, workers=args.workers)
+    report = run_hyperscale(scenario)
     out = args.out or f"results/hyperscale_{scenario.name}.json"
     write_json(report, out)
 
@@ -306,9 +306,9 @@ def cmd_hyperscale(args) -> int:
           f"promotions w/f/b = {fidelity['hybrid.promotions_watched']}/"
           f"{fidelity['hybrid.promotions_fault']}/"
           f"{fidelity['hybrid.promotions_backpressure']}")
-    print(f"  sharding: {fidelity['hybrid.windows']} windows, "
-          f"{fidelity['hybrid.cross_shard_events']} cross-shard events, "
-          f"{fidelity['hybrid.lookahead_stalls']} lookahead stalls")
+    print(f"  cold fabric: {fidelity['hybrid.windows']} windows, "
+          f"{fidelity['hybrid.cross_shard_events']} cross-pod flows, "
+          f"{fidelity['hybrid.lookahead_stalls']} empty inboxes")
     print(f"  island: {island['hosts']} hosts, "
           f"{island['deliveries']} deliveries, "
           f"mean {island['mean_delivery_ns']} ns, "
@@ -583,11 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "--seed)")
     hyperscale.add_argument("--scenario", default="k8_cold",
                             help="scenario name (see --list)")
-    hyperscale.add_argument("--workers", type=int, default=1,
-                            help="cold-fabric shard workers (the report is "
-                                 "byte-identical for any worker count)")
     hyperscale.add_argument("--windows", type=int, default=None,
-                            help="override the scenario's barrier count")
+                            help="override the scenario's window count")
     hyperscale.add_argument("--out", default=None,
                             help="report path (default: "
                                  "results/hyperscale_<scenario>.json)")

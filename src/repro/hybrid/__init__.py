@@ -12,17 +12,16 @@ packet-level fidelity only where it buys accuracy:
   (full packet/analytic-beacon fidelity); everything else is *cold*.
   Promotion cold→hot is automatic and monotone.
 - :mod:`repro.hybrid.fabric` — the cold fabric: per-pod flow-level
-  windowed model built from the closed forms in :mod:`repro.net.flow`,
-  shaped for :func:`repro.parallel.run_sharded` (pure integer state
-  steps + cross-pod flow events under conservative lookahead).
+  windowed model built from the closed forms in :mod:`repro.net.flow`:
+  one loop steps every cold pod per window (pure integer state), and
+  cross-pod flows reach their destination pod one window later.
 - :mod:`repro.hybrid.engine` — the scenario driver: runs the cold
-  fabric (sharded across ``--workers``), applies backpressure
-  promotions to a fixed point, couples aggregate cold congestion into
-  the hot island's core links, drives watched traffic through a real
-  :class:`repro.onepipe.OnePipeCluster`, checks the §2.1 reference
-  oracle on the hybrid delivery trace, and emits the deterministic
-  ``repro.hybrid/1`` report (byte-identical across runs and worker
-  counts — see the ``hyperscale-smoke`` CI job).
+  fabric, applies backpressure promotions to a fixed point, couples
+  aggregate cold congestion into the hot island's core links, drives
+  watched traffic through a real :class:`repro.onepipe.OnePipeCluster`,
+  checks the §2.1 reference oracle on the hybrid delivery trace, and
+  emits the deterministic ``repro.hybrid/1`` report (byte-identical
+  across runs — see the ``hyperscale-smoke`` CI job).
 
 See docs/HYPERSCALE.md for the fidelity model and accuracy envelope.
 """

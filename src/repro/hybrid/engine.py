@@ -6,12 +6,10 @@ fixed point:
 1. Build the :class:`repro.hybrid.fidelity.FidelityMap`: the first
    ``hot_pods`` pods are hot (they host the watched endpoints), plus
    every pod a fault target touches.
-2. Run the cold fabric (:mod:`repro.hybrid.fabric`) over the cold pods
-   with :func:`repro.parallel.run_sharded` — the single-run
-   space-sharded path whose outputs are byte-identical for every
-   ``workers`` value.  If any cold pod reports backpressure, promote it
-   and re-run (bounded passes; promotion is monotone so this
-   terminates).
+2. Run the cold fabric (:func:`repro.hybrid.fabric.run_cold_fabric`)
+   over the cold pods, one window at a time.  If any cold pod reports
+   backpressure, promote it and re-run (bounded passes; promotion is
+   monotone so this terminates).
 3. Build the hot island — a real packet-level
    :class:`repro.onepipe.OnePipeCluster` over exactly the hot pods —
    couple the cold fabric's per-window core congestion onto the
@@ -45,7 +43,12 @@ from repro.onepipe.config import MODE_CHIP
 from repro.sim import Simulator
 from repro.sim.randomness import RngStreams
 from repro.sim.stats import Histogram
-from repro.verify.episodes import SendOp, drive_sends, extract_observation
+from repro.verify.episodes import (
+    SendOp,
+    drive_sends,
+    extract_observation,
+    scatter_sends,
+)
 from repro.verify.oracle import ReferenceOracle
 
 HYBRID_SCHEMA = "repro.hybrid/1"
@@ -175,25 +178,16 @@ def watched_placement(
 def island_traffic(scenario: HyperscaleScenario, horizon_ns: int) -> List[SendOp]:
     """The watched workload, drawn from the ``hybrid.island`` stream of
     the scenario seed — fully determined before any simulation runs."""
-    rng = RngStreams(scenario.seed).stream("hybrid.island")
-    n = scenario.n_processes
-    sends: List[SendOp] = []
-    sequence = 0
-    at = scenario.start_ns
-    while at < horizon_ns:
-        senders = rng.sample(range(n), min(scenario.senders_per_round, n))
-        for src in senders:
-            peers = [dst for dst in range(n) if dst != src]
-            fanout = rng.randint(1, scenario.max_fanout)
-            dsts = rng.sample(peers, min(fanout, len(peers)))
-            reliable = rng.random() < 0.5
-            sequence += 1
-            entries = tuple(
-                (dst, f"hy.s{src}.q{sequence}.d{dst}") for dst in dsts
-            )
-            sends.append(SendOp(at, src, reliable, entries))
-        at += scenario.send_interval_ns
-    return sends
+    return scatter_sends(
+        RngStreams(scenario.seed).stream("hybrid.island"),
+        "hy",
+        scenario.n_processes,
+        scenario.start_ns,
+        horizon_ns,
+        scenario.send_interval_ns,
+        scenario.senders_per_round,
+        scenario.max_fanout,
+    )
 
 
 def _run_island(
@@ -296,20 +290,21 @@ def _degrade_links(core_links, cong_milli: int) -> None:
 # The driver
 # ----------------------------------------------------------------------
 def run_hyperscale(
-    scenario: HyperscaleScenario, workers: int = 1
+    scenario: HyperscaleScenario, *, workers: int = 1
 ) -> Dict[str, Any]:
-    """Execute one hybrid scenario; the returned dict is the report.
-
-    ``workers`` only chooses how the cold fabric is partitioned across
-    processes — it must not (and cannot: see
-    :func:`repro.parallel.run_sharded`) appear in any report byte.
-    """
+    """Execute one hybrid scenario; the returned dict is the report."""
+    # perf/workloads.py (the frozen benchmark) still passes workers=1;
+    # the cold fabric is one loop, so no other value means anything.
+    if workers != 1:
+        raise ValueError(f"workers must be 1: {workers}")
     descriptor = scenario.descriptor()
     if scenario.hot_pods < 1 or scenario.hot_pods > descriptor.n_pods:
         raise ValueError(
             f"hot_pods {scenario.hot_pods} out of range for k={scenario.k} "
             f"({descriptor.n_pods} pods)"
         )
+    if scenario.windows < 0:
+        raise ValueError(f"windows must be >= 0: {scenario.windows}")
     window_ns = descriptor.cross_pod_lookahead_ns
     horizon_ns = scenario.windows * window_ns
 
@@ -339,15 +334,12 @@ def run_hyperscale(
             fabric_link_gbps=int(descriptor.params.fabric_link_gbps),
             host_link_gbps=int(descriptor.params.host_link_gbps),
         )
-        outputs, stats = run_cold_fabric(
-            config,
-            scenario.windows,
-            workers=workers,
-            beacon_bound_ns=descriptor.beacon_wave_bound_ns(),
+        outputs, counts = run_cold_fabric(
+            config, scenario.windows, descriptor.beacon_wave_bound_ns()
         )
         # Sustained-backpressure rule: >=10% of windows over threshold.
         cold_summary = summarize_cold(
-            outputs, stats, min_promote_windows=max(1, scenario.windows // 10)
+            outputs, counts, min_promote_windows=max(1, scenario.windows // 10)
         )
         promoted = [
             pod
@@ -370,15 +362,9 @@ def run_hyperscale(
 
     fidelity = dict(fmap.digest())
     fidelity["hybrid.passes"] = passes
-    if cold_summary:
-        sharding = cold_summary["sharding"]
-        fidelity["hybrid.cross_shard_events"] = sharding["cross_shard_events"]
-        fidelity["hybrid.lookahead_stalls"] = sharding["lookahead_stalls"]
-        fidelity["hybrid.windows"] = sharding["windows"]
-    else:
-        fidelity["hybrid.cross_shard_events"] = 0
-        fidelity["hybrid.lookahead_stalls"] = 0
-        fidelity["hybrid.windows"] = 0
+    counts = cold_summary["counts"] if cold_summary else {}
+    for key in ("cross_shard_events", "lookahead_stalls", "windows"):
+        fidelity[f"hybrid.{key}"] = counts.get(key, 0)
 
     cold_report: Dict[str, Any] = {}
     if cold_summary:

@@ -1,18 +1,19 @@
 """Cold fabric: flow-level windowed model of the unwatched pods.
 
-Each cold pod is one shard under :func:`repro.parallel.run_sharded`.
-A shard's state is its seeded flow generator plus running totals; one
-step advances it a window of ``window_ns`` simulated nanoseconds:
+:func:`run_cold_fabric` is one loop: every window it steps each cold
+pod in ``cold_pods`` order.  A pod's state is its seeded flow
+generator; one step advances it a window of ``window_ns`` simulated
+nanoseconds:
 
 1. draw this window's flow demand from the pod's private RNG stream
-   (``hybrid.cold.<pod>`` — draws never depend on other shards, so the
-   worker partitioning cannot perturb them);
-2. fold in cross-pod flows that arrived at the barrier (emitted by
-   other cold pods during the *previous* window — the conservative
-   lookahead guarantee: ``window_ns <= cross_pod_lookahead_ns``);
+   (``hybrid.cold.<pod>`` — draws never depend on other pods);
+2. fold in cross-pod flows emitted by other cold pods during the
+   *previous* window (a one-window delay:
+   ``window_ns <= cross_pod_lookahead_ns``, so no flow can arrive
+   sooner);
 3. compute this window's congestion, utilization, and beacon-wave
    floor from the closed forms in :mod:`repro.net.flow`, all in
-   integer milli-units so every byte is partitioning-invariant;
+   integer milli-units so every report byte is exact;
 4. emit outgoing cross-pod flows for delivery at window ``w+1`` and a
    per-window output record.
 
@@ -30,17 +31,15 @@ trust region there, and the engine re-runs with that pod hot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.net import flow
-from repro.parallel import ShardRunStats, run_sharded
 from repro.sim.randomness import RngStreams
 
 
 @dataclass(frozen=True)
 class ColdFabricConfig:
-    """Everything a cold-pod shard needs; picklable, worker-invariant."""
+    """Everything a cold pod's step needs."""
 
     seed: int
     n_hosts: int                    # full modeled fabric (saturation term)
@@ -49,7 +48,7 @@ class ColdFabricConfig:
     local_fraction_pct: int         # % of flows staying inside the pod
     mean_flow_bytes: int
     backpressure_threshold_milli: int
-    cold_pods: Tuple[int, ...]      # canonical shard order
+    cold_pods: Tuple[int, ...]      # stepping and inbox order
     hot_pods: Tuple[int, ...]
     core_uplinks: int               # core-attach stripes per pod
     fabric_link_gbps: int
@@ -70,27 +69,17 @@ class ColdFabricConfig:
 
 @dataclass
 class ColdPodState:
-    """One cold pod's private state, living in its owning worker."""
+    """One cold pod's private state."""
 
     config: ColdFabricConfig
     pod: int
     beacon_bound_ns: int = 0
     rng: Any = field(default=None)
-    flows_total: int = 0
-    bytes_to_hot: int = 0
 
     def __post_init__(self) -> None:
         self.rng = RngStreams(self.config.seed).stream(
             f"hybrid.cold.{self.pod}"
         )
-
-
-def _init_pod(
-    config: ColdFabricConfig, beacon_bound_ns: int, pod: int
-) -> ColdPodState:
-    return ColdPodState(
-        config=config, pod=pod, beacon_bound_ns=beacon_bound_ns
-    )
 
 
 def _step_pod(
@@ -149,7 +138,6 @@ def _step_pod(
             out_cold_bytes += size
             outbox.append((dst, ("flow", pod, size)))
     n_flows = config.flows_per_window
-    state.flows_total += n_flows
 
     # Link-class concurrency: every flow crosses its edge links; remote
     # flows (in both directions) share the pod's core stripes.
@@ -172,7 +160,6 @@ def _step_pod(
         state.beacon_bound_ns * straggler * cong_core_milli // 1_000_000
     )
 
-    state.bytes_to_hot += to_hot_bytes
     output = {
         "pod": pod,
         "window": window,
@@ -192,30 +179,51 @@ def _step_pod(
 
 
 def run_cold_fabric(
-    config: ColdFabricConfig,
-    windows: int,
-    workers: int = 1,
-    beacon_bound_ns: int = 0,
-) -> Tuple[Dict[int, List[Dict[str, int]]], ShardRunStats]:
-    """Advance every cold pod through ``windows`` barriers.
+    config: ColdFabricConfig, windows: int, beacon_bound_ns: int
+) -> Tuple[Dict[int, List[Dict[str, int]]], Dict[str, int]]:
+    """Step every cold pod through ``windows`` windows.
 
     ``beacon_bound_ns`` is the descriptor's idle cross-pod wave bound,
     threaded onto each state so the per-window beacon floor is closed
-    over it.  Outputs are byte-identical for every ``workers`` value
-    (partial of a module-level function stays picklable for workers).
+    over it.  A pod's outbox becomes its destinations' inboxes for the
+    next window, in emitting-pod order.  Returns ``(outputs, counts)``:
+    ``outputs[pod]`` lists the pod's per-window records; ``counts``
+    holds ``windows``, ``cross_shard_events`` (cold-to-cold cross-pod
+    flows emitted) and ``lookahead_stalls`` (pod windows after the
+    first that found an empty inbox).
     """
-    init = partial(_init_pod, config, beacon_bound_ns)
-    return run_sharded(
-        list(config.cold_pods), init, _step_pod, windows, workers=workers
-    )
+    states = [
+        ColdPodState(config=config, pod=pod, beacon_bound_ns=beacon_bound_ns)
+        for pod in config.cold_pods
+    ]
+    outputs: Dict[int, List[Dict[str, int]]] = {
+        pod: [] for pod in config.cold_pods
+    }
+    counts = {
+        "cross_shard_events": 0, "lookahead_stalls": 0, "windows": windows,
+    }
+    inboxes: Dict[int, List[Tuple[str, int, int]]] = {}
+    for window in range(windows):
+        next_inboxes: Dict[int, List[Tuple[str, int, int]]] = {}
+        for state in states:
+            inbox = inboxes.get(state.pod, [])
+            if window > 0 and not inbox:
+                counts["lookahead_stalls"] += 1
+            output, outbox = _step_pod(state, window, inbox)
+            outputs[state.pod].append(output)
+            counts["cross_shard_events"] += len(outbox)
+            for dst, event in outbox:
+                next_inboxes.setdefault(dst, []).append(event)
+        inboxes = next_inboxes
+    return outputs, counts
 
 
 def summarize_cold(
     outputs: Dict[int, List[Dict[str, int]]],
-    stats: ShardRunStats,
+    counts: Dict[str, int],
     min_promote_windows: int = 1,
 ) -> Dict[str, Any]:
-    """Worker-invariant digest of a cold-fabric run.
+    """Digest of a cold-fabric run.
 
     ``core_schedule`` is the per-window maximum core congestion across
     pods — the degradation profile the engine applies to the hot
@@ -262,5 +270,5 @@ def summarize_cold(
         "core_schedule": core_schedule,
         "promote_windows": promote_windows,
         "promote_pods": sorted(promote_pods),
-        "sharding": stats.as_dict(),
+        "counts": counts,
     }

@@ -18,9 +18,9 @@ approach of "Scalable Tail Latency Estimation for Data Center Networks"
   latency *to the nanosecond* (the property anchoring the hybrid mode's
   exactness claims; see ``tests/hybrid/test_flow_model.py``).
 
-All quantities consumed by the sharded fabric are integers (milli-units
+All quantities consumed by the cold fabric are integers (milli-units
 for dimensionless factors), so per-pod computations are bit-identical
-regardless of worker partitioning.
+on every platform.
 """
 
 from __future__ import annotations
@@ -68,10 +68,10 @@ def congestion_factor(concurrent: int, n_hosts: int = 0) -> float:
 def congestion_milli(concurrent: int, n_hosts: int = 0) -> int:
     """:func:`congestion_factor` quantized to integer milli-units.
 
-    The sharded cold fabric does all bandwidth math in integers so that
-    merged reports are byte-identical for every ``--workers`` value;
-    this is the only place a float enters that path, and it leaves as a
-    platform-stable ``round``.
+    The cold fabric does all bandwidth math in integers so that its
+    reports are byte-identical on every platform; this is the only
+    place a float enters that path, and it leaves as a platform-stable
+    ``round``.
     """
     return round(congestion_factor(concurrent, n_hosts) * 1000)
 

@@ -156,14 +156,14 @@ class FatTreeDescriptor:
 
     @property
     def cross_pod_lookahead_ns(self) -> int:
-        """Conservative lookahead for pod-sharded simulation.
+        """Conservative lookahead for the per-pod cold fabric.
 
         The minimum simulated time in which *anything* leaving one pod
         can influence another: a minimal (header-only) packet crossing
-        the inter-pod path.  Space-sharded windows no longer than this
-        can exchange cross-shard events at window barriers without ever
-        needing an event from the current window (repro.parallel
-        ``run_sharded``).
+        the inter-pod path.  Windows no longer than this can deliver
+        every cross-pod flow one window after it was emitted without
+        ever needing one from the current window
+        (``repro.hybrid.fabric.run_cold_fabric``).
         """
         from repro.net.packet import HEADER_OVERHEAD_BYTES
 

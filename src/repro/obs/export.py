@@ -90,10 +90,10 @@ KNOWN_WORKLOAD_HISTOGRAMS = frozenset({"workload.queue_wait_ns"})
 # keys :meth:`repro.hybrid.fidelity.FidelityMap.digest` and the engine
 # emit.
 KNOWN_HYBRID_METRICS = frozenset({
-    "hybrid.cross_shard_events",    # run_sharded: barrier-exchanged events
+    "hybrid.cross_shard_events",    # cold fabric: cold-to-cold cross-pod flows
     "hybrid.links_cold",            # fidelity map: flow-level links
     "hybrid.links_hot",             # fidelity map: packet-level links
-    "hybrid.lookahead_stalls",      # run_sharded: empty-inbox barriers
+    "hybrid.lookahead_stalls",      # cold fabric: empty inboxes, window >= 1
     "hybrid.passes",                # engine: fidelity fixed-point passes
     "hybrid.pods_cold",
     "hybrid.pods_hot",

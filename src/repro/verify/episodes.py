@@ -120,6 +120,45 @@ class EpisodeSpec:
 # ----------------------------------------------------------------------
 # Generation
 # ----------------------------------------------------------------------
+def scatter_sends(
+    rng: Any,
+    prefix: str,
+    n_processes: int,
+    start_ns: int,
+    horizon_ns: int,
+    interval_ns: int,
+    senders_per_round: int,
+    max_fanout: int,
+) -> List[SendOp]:
+    """Seeded scatter traffic: one round every ``interval_ns`` from
+    ``start_ns`` until ``horizon_ns``.
+
+    Each round ``sample``s distinct senders; each sender draws a
+    ``randint`` fanout, ``sample``s that many distinct peers and flips a
+    ``random() < 0.5`` reliable coin, in that order.  Payloads read
+    ``{prefix}.s{src}.q{sequence}.d{dst}``.
+    """
+    sends: List[SendOp] = []
+    sequence = 0
+    at = start_ns
+    while at < horizon_ns:
+        senders = rng.sample(
+            range(n_processes), min(senders_per_round, n_processes)
+        )
+        for src in senders:
+            fanout = rng.randint(1, max_fanout)
+            peers = [dst for dst in range(n_processes) if dst != src]
+            dsts = rng.sample(peers, min(fanout, len(peers)))
+            reliable = rng.random() < 0.5
+            sequence += 1
+            entries = tuple(
+                (dst, f"{prefix}.s{src}.q{sequence}.d{dst}") for dst in dsts
+            )
+            sends.append(SendOp(at, src, reliable, entries))
+        at += interval_ns
+    return sends
+
+
 def generate_episode(
     seed: int,
     episode: int = 0,
@@ -155,24 +194,10 @@ def generate_episode(
         )
         faults = tuple(schedule.events)
 
-    sends: List[SendOp] = []
-    sequence = 0
-    at = start_ns
-    while at < horizon_ns:
-        senders = workload_rng.sample(
-            range(n_processes), min(senders_per_round, n_processes)
-        )
-        for src in senders:
-            fanout = workload_rng.randint(1, max_fanout)
-            peers = [dst for dst in range(n_processes) if dst != src]
-            dsts = workload_rng.sample(peers, min(fanout, len(peers)))
-            reliable = workload_rng.random() < 0.5
-            sequence += 1
-            entries = tuple(
-                (dst, f"e{episode}.s{src}.q{sequence}.d{dst}") for dst in dsts
-            )
-            sends.append(SendOp(at, src, reliable, entries))
-        at += interval_ns
+    sends = scatter_sends(
+        workload_rng, f"e{episode}", n_processes, start_ns, horizon_ns,
+        interval_ns, senders_per_round, max_fanout,
+    )
     return EpisodeSpec(
         seed=seed,
         episode=episode,

@@ -169,7 +169,7 @@ def _shard_report(
 # ----------------------------------------------------------------------
 # Fan-out + merge
 # ----------------------------------------------------------------------
-def _shard_worker(payload) -> Dict[str, Any]:
+def _run_shard_payload(payload) -> Dict[str, Any]:
     scenario, seed, shard, faults = payload
     return run_shard(scenario, seed, shard, faults=faults)
 
@@ -212,7 +212,7 @@ def run_scenario(
         (scenario, seed, shard, faults)
         for shard in range(scenario.shards)
     ]
-    shards = run_ordered(_shard_worker, payloads, jobs=jobs,
+    shards = run_ordered(_run_shard_payload, payloads, jobs=jobs,
                          progress=progress)
 
     totals = {

@@ -1,106 +1,8 @@
-"""run_sharded: worker-count invariance, lookahead stalls, failure paths.
-
-The toy model here is deliberately order-sensitive: each shard hashes
-its inbox into its running state, so any deviation in event routing
-order or window synchronization across worker counts changes the
-outputs.  Byte-identity of the outputs across ``workers`` values is
-therefore a real test of the barrier discipline, not a vacuous one.
-"""
-
-import os
+"""The cold fabric loop: its counters, integer outputs and inlined draws."""
 
 import pytest
 
-from repro.hybrid.fabric import ColdFabricConfig, run_cold_fabric
-from repro.parallel import ParallelWorkerError, run_sharded
-
-
-# ----------------------------------------------------------------------
-# Toy order-sensitive shard model (module-level for picklability)
-# ----------------------------------------------------------------------
-def _toy_init(shard_id):
-    return {"id": shard_id, "acc": shard_id * 1000}
-
-
-def _toy_step(state, window, inbox):
-    # Fold the inbox *in order* — reordering changes acc.
-    for event in inbox:
-        state["acc"] = state["acc"] * 31 + event
-    state["acc"] += window
-    out = state["acc"]
-    # Each shard sends its current acc to the next shard (ring).
-    outbox = [((state["id"] + 1) % 4, out % 97)]
-    return out, outbox
-
-
-def _crashy_init(shard_id):
-    return shard_id
-
-
-def _crashy_step(state, window, inbox):
-    if state == 2 and window == 1:
-        os._exit(13)
-    return window, []
-
-
-def _raisy_step(state, window, inbox):
-    if state == 1 and window == 2:
-        raise RuntimeError("cold pod exploded")
-    return window, []
-
-
-def _stray_step(state, window, inbox):
-    return window, [(99, "event")]
-
-
-class TestRunSharded:
-    def test_outputs_identical_across_worker_counts(self):
-        runs = [
-            run_sharded(list(range(4)), _toy_init, _toy_step, 6, workers=w)
-            for w in (1, 2, 3, 4)
-        ]
-        baseline_out, baseline_stats = runs[0]
-        for out, stats in runs[1:]:
-            assert out == baseline_out
-            assert stats.as_dict() == baseline_stats.as_dict()
-        # The ring exchanged one event per shard per window (none land
-        # in window 0's inboxes, so stalls are zero after warm-up).
-        assert baseline_stats.cross_shard_events == 4 * 6
-        assert baseline_stats.lookahead_stalls == 0
-
-    def test_lookahead_stalls_counted(self):
-        def silent_step(state, window, inbox):
-            return window, []
-
-        _, stats = run_sharded([0, 1], _toy_init, silent_step, 5, workers=1)
-        # Every post-warm-up barrier finds both inboxes empty.
-        assert stats.lookahead_stalls == 2 * 4
-
-    def test_zero_windows_or_no_shards(self):
-        out, stats = run_sharded([], _toy_init, _toy_step, 5)
-        assert out == {}
-        out, stats = run_sharded([0], _toy_init, _toy_step, 0)
-        assert out == {0: []}
-
-    def test_duplicate_shard_ids_rejected(self):
-        with pytest.raises(ValueError):
-            run_sharded([0, 0], _toy_init, _toy_step, 1)
-
-    def test_unknown_destination_raises(self):
-        with pytest.raises(ValueError, match="unknown"):
-            run_sharded([0, 1], _toy_init, _stray_step, 2, workers=1)
-
-    def test_worker_crash_surfaces_clear_error(self):
-        with pytest.raises(ParallelWorkerError, match="died at window 1"):
-            run_sharded(
-                list(range(4)), _crashy_init, _crashy_step, 4, workers=2
-            )
-
-    def test_worker_exception_surfaces_with_context(self):
-        with pytest.raises(ParallelWorkerError, match="cold pod exploded"):
-            run_sharded(
-                list(range(4)), _crashy_init, _raisy_step, 4, workers=2
-            )
+from repro.hybrid.fabric import ColdFabricConfig, ColdPodState, run_cold_fabric
 
 
 class TestColdFabricSharding:
@@ -121,21 +23,27 @@ class TestColdFabricSharding:
         host_link_gbps=100.0,
     )
 
-    def test_fabric_outputs_identical_across_workers(self):
-        runs = [
-            run_cold_fabric(self.CONFIG, 40, workers=w, beacon_bound_ns=1068)
-            for w in (1, 2, 5)
-        ]
-        base_out, base_stats = runs[0]
-        for out, stats in runs[1:]:
-            assert out == base_out
-            assert stats.as_dict() == base_stats.as_dict()
-        assert base_stats.cross_shard_events > 0
+    def test_counters_match_the_outputs(self):
+        """Each flow a pod emits in window ``w`` is in its destination's
+        ``remote_in`` at ``w + 1``, so a 41-window run's ``remote_in``
+        total is the 40-window run's ``cross_shard_events``; a stall is
+        a (pod, window >= 1) record with ``remote_in == 0``."""
+        outputs, counts = run_cold_fabric(self.CONFIG, 40, 1068)
+        longer, _ = run_cold_fabric(self.CONFIG, 41, 1068)
+        assert {pod: recs[:40] for pod, recs in longer.items()} == outputs
+        assert counts["windows"] == 40
+        assert counts["cross_shard_events"] == sum(
+            rec["remote_in"] for recs in longer.values() for rec in recs
+        ) == 2329
+        assert counts["lookahead_stalls"] == sum(
+            1
+            for recs in outputs.values()
+            for rec in recs
+            if rec["window"] >= 1 and rec["remote_in"] == 0
+        ) == 12
 
     def test_fabric_outputs_are_pure_integers(self):
-        outputs, _ = run_cold_fabric(
-            self.CONFIG, 5, workers=1, beacon_bound_ns=1068
-        )
+        outputs, _ = run_cold_fabric(self.CONFIG, 5, 1068)
         for records in outputs.values():
             for record in records:
                 for key, value in record.items():
@@ -164,7 +72,7 @@ class TestColdFabricSharding:
     ):
         from dataclasses import replace
 
-        from repro.hybrid.fabric import _init_pod, _step_pod
+        from repro.hybrid.fabric import _step_pod
 
         flows = 10_000
         config = replace(
@@ -176,8 +84,8 @@ class TestColdFabricSharding:
             flows_per_window=flows,
         )
         pod = cold_pods[0]
-        state = _init_pod(config, 1068, pod)
-        reference = _init_pod(config, 1068, pod).rng
+        state = ColdPodState(config=config, pod=pod, beacon_bound_ns=1068)
+        reference = ColdPodState(config=config, pod=pod).rng
         assert reference is not state.rng
         output, outbox = _step_pod(state, 0, [])
 
