@@ -1,19 +1,18 @@
-"""Command-line interface: quick experiments without writing code.
+"""Command-line interface: the seeded campaign and scenario runners.
 
 Usage::
 
-    python -m repro.cli latency --mode chip --processes 32
-    python -m repro.cli broadcast --processes 16 --system 1pipe
-    python -m repro.cli failure --crash tor0.0
-    python -m repro.cli topology
-    python -m repro.cli snapshot
     python -m repro.cli chaos --episodes 100 --seed 7
     python -m repro.cli verify --episodes 25 --seed 1
     python -m repro.cli observe --hosts 8 --seed 1
+    python -m repro.cli workload --scenario hotspot
+    python -m repro.cli hyperscale --scenario k8_cold
     python -m repro.cli shootout --seed 1
 
-Each subcommand builds the paper's 32-host testbed, runs a short
-deterministic simulation, and prints a summary.
+Each subcommand runs a deterministic simulation from ``--seed``
+(default 1), writes a JSON report, prints a summary, and exits
+non-zero when a check fails.  Single-feature demos (latency, failure
+recovery, snapshots) are the scripts in ``examples/``.
 """
 
 from __future__ import annotations
@@ -23,180 +22,20 @@ import sys
 
 from repro.net.topology import EPISODE_SCALES
 from repro.obs.export import write_json
-from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.onepipe.config import ALL_MODES, MODES
-from repro.sim import Simulator
 
 
-def cmd_topology(args) -> int:
-    from repro.net import build_testbed
-
-    sim = Simulator(seed=args.seed)
-    topo = build_testbed(sim)
-    print(f"hosts: {len(topo.hosts)}")
-    print(f"logical switches: {len(topo.switches)}")
-    print(f"physical links: {len(topo.external_links())}")
-    for name in sorted(topo.switches):
-        switch = topo.switches[name]
-        print(f"  {name:16s} in={len(switch.in_links):2d} "
-              f"out={len(switch.out_links):2d} routes={len(switch.routes)}")
-    return 0
-
-
-def cmd_latency(args) -> int:
-    from repro.bench.harness import LatencyProbe
-
-    sim = Simulator(seed=args.seed)
-    cluster = OnePipeCluster(
-        sim,
-        n_processes=args.processes,
-        config=OnePipeConfig(
-            mode=args.mode, beacon_interval_ns=args.beacon_us * 1000
-        ),
-    )
-    probe = LatencyProbe(sim)
-    for i in range(args.processes):
-        cluster.endpoint(i).on_recv(lambda m: probe.mark_delivered(m.payload))
-
-    def send(k):
-        sender = k % args.processes
-        dst = (sender + args.processes // 2 + 1) % args.processes
-        probe.mark_sent(k)
-        ep = cluster.endpoint(sender)
-        fn = ep.reliable_send if args.reliable else ep.unreliable_send
-        fn([(dst, k)])
-
-    for k in range(args.count):
-        sim.schedule(50_000 + k * 10_000, send, k)
-    sim.run(until=50_000 + args.count * 10_000 + 1_000_000)
-    if not probe.latencies:
-        print("no deliveries — check parameters", file=sys.stderr)
-        return 1
-    service = "reliable" if args.reliable else "best-effort"
-    print(f"{service} 1Pipe, mode={args.mode}, "
-          f"{args.processes} processes, {len(probe.latencies)} probes")
-    print(f"  mean {probe.mean_us():.2f} us   "
-          f"p95 {probe.percentile_us(95):.2f} us")
-    return 0
-
-
-def cmd_broadcast(args) -> int:
-    from repro.baselines import (
-        LamportBroadcast,
-        SequencerBroadcast,
-        TokenRingBroadcast,
-    )
-    from repro.net import build_testbed
-
-    sim = Simulator(seed=args.seed)
-    n = args.processes
-    window = 1_000_000
-    if args.system == "1pipe":
-        cluster = OnePipeCluster(sim, n_processes=n)
-        delivered = [0]
-        for i in range(n):
-            cluster.endpoint(i).on_recv(
-                lambda m: delivered.__setitem__(0, delivered[0] + 1)
-            )
-
-        def blast(s):
-            cluster.endpoint(s).unreliable_send(
-                [(d, "x") for d in range(n) if d != s]
-            )
-
-        for s in range(n):
-            sim.every(20_000, blast, s)
-        sim.run(until=window)
-        count = delivered[0]
-    else:
-        topo = build_testbed(sim)
-        if args.system in ("switchseq", "hostseq"):
-            group = SequencerBroadcast(
-                sim, topo, n,
-                kind="switch" if args.system == "switchseq" else "host",
-            )
-        elif args.system == "token":
-            group = TokenRingBroadcast(sim, topo, n)
-            group.start()
-        else:
-            group = LamportBroadcast(sim, topo, n)
-        for s in range(n):
-            sim.every(20_000, group.broadcast, s, "x")
-        sim.run(until=window)
-        count = group.total_delivered()
-    rate = count / n * 1e9 / window
-    print(f"{args.system}: {count} deliveries in 1 ms "
-          f"({rate / 1e3:.0f} K msg/s per process)")
-    return 0
-
-
-def cmd_failure(args) -> int:
-    from repro.net import FailureInjector
-
-    sim = Simulator(seed=args.seed)
-    cluster = OnePipeCluster(sim, n_processes=8)
-    injector = FailureInjector(cluster.topology)
-
-    def traffic():
-        for s in range(8):
-            ep = cluster.endpoint(s)
-            if not ep.agent.host.failed:
-                ep.reliable_send([((s + 1) % 8, "x")])
-
-    sim.every(20_000, traffic)
-    crash_at = 150_000
-    if args.crash.startswith("h"):
-        injector.crash_host(args.crash, at=crash_at)
-    else:
-        injector.crash_switch(args.crash, at=crash_at)
-    sim.run(until=3_000_000)
-    controller = cluster.controller
-    print(f"crashed {args.crash} at {crash_at / 1000:.0f} us")
-    print(f"failed processes: {sorted(controller.failed_procs)}")
-    for episode in controller.recoveries:
-        print(f"recovery: detect {episode.first_report_time / 1000:.0f} us, "
-              f"resume {episode.resume_time / 1000:.0f} us "
-              f"({episode.duration_ns / 1000:.0f} us coordinated)")
-    return 0
-
-
-def cmd_snapshot(args) -> int:
-    from repro.apps.snapshot import TokenConservationDemo
-
-    sim = Simulator(seed=args.seed)
-    cluster = OnePipeCluster(sim, n_processes=6)
-    demo = TokenConservationDemo(cluster, list(range(6)))
-    rng = sim.rng("transfers")
-    for k in range(60):
-        src = rng.randrange(6)
-        dst = (src + 1 + rng.randrange(5)) % 6
-        sim.schedule(20_000 + k * 5_000, demo.transfer, src, dst,
-                     rng.randint(1, 20))
-    totals = []
-    for t in (60_000, 180_000):
-        sim.schedule(
-            t,
-            lambda: demo.snapshot_total(0).add_callback(
-                lambda f: totals.append(f.value)
-            ),
-        )
-    sim.run(until=2_000_000)
-    print(f"invariant total: {demo.total}")
-    print(f"snapshot totals during concurrent transfers: {totals}")
-    print("consistent!" if all(t == demo.total for t in totals)
-          else "INCONSISTENT")
-    return 0 if all(t == demo.total for t in totals) else 1
+def _modes(args) -> tuple:
+    """The incarnations ``--mode`` names.  ``all`` also cycles the BFT
+    incarnation under ``--adversarial``; the plain default keeps the
+    historical three-mode cycle byte-identical."""
+    if args.mode != "all":
+        return (args.mode,)
+    return ALL_MODES if args.adversarial else MODES
 
 
 def cmd_chaos(args) -> int:
     from repro.chaos import CampaignRunner
-
-    # Adversarial campaigns cycle the BFT incarnation too; the plain
-    # default keeps the historical three-mode cycle byte-identical.
-    if args.mode == "all":
-        modes = ALL_MODES if args.adversarial else MODES
-    else:
-        modes = (args.mode,)
 
     def progress(report):
         n_viol = len(report["violations"])
@@ -211,7 +50,7 @@ def cmd_chaos(args) -> int:
     runner = CampaignRunner(
         seed=args.seed,
         episodes=args.episodes,
-        modes=modes,
+        modes=_modes(args),
         n_processes=args.processes,
         faults_per_episode=args.faults,
         use_raft=args.raft,
@@ -321,10 +160,7 @@ def cmd_hyperscale(args) -> int:
 def cmd_verify(args) -> int:
     from repro.verify import VerifyRunner
 
-    if args.mode == "all":
-        modes = ALL_MODES if args.adversarial else MODES
-    else:
-        modes = (args.mode,)
+    modes = _modes(args)
     runner = VerifyRunner(
         seed=args.seed,
         episodes=args.episodes,
@@ -456,65 +292,58 @@ def cmd_workload(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.cli",
-        description="1Pipe reproduction: quick command-line experiments",
+        description="1Pipe reproduction: seeded campaign and scenario "
+                    "runners (demos are in examples/)",
     )
-    parser.add_argument("--seed", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("topology", help="print the testbed topology")
+    # Flags several runners share, one parent parser each.
+    shared = {}
+    for flag, kwargs in (
+        ("--seed", dict(type=int, default=1, help="run seed")),
+        ("--jobs", dict(type=int, default=1,
+                        help="worker processes (the report is "
+                             "byte-identical for any job count)")),
+        ("--metrics", dict(action="store_true",
+                           help="embed per-run metrics summaries in the "
+                                "report (see docs/OBSERVABILITY.md)")),
+        ("--quiet", dict(action="store_true",
+                         help="suppress per-run progress lines")),
+        ("--adversarial", dict(action="store_true",
+                               help="mix Byzantine fault kinds (lying "
+                                    "senders, corrupt beacons, "
+                                    "equivocation, forged notices) into "
+                                    "the episodes and run the attack-mode "
+                                    "checks; with --mode all, also cycles "
+                                    "the bft incarnation (see "
+                                    "docs/BYZANTINE.md)")),
+    ):
+        shared[flag] = argparse.ArgumentParser(add_help=False)
+        shared[flag].add_argument(flag, **kwargs)
 
-    latency = sub.add_parser("latency", help="delivery latency probe")
-    latency.add_argument("--mode", default="chip", choices=ALL_MODES)
-    latency.add_argument("--processes", type=int, default=32)
-    latency.add_argument("--reliable", action="store_true")
-    latency.add_argument("--beacon-us", type=int, default=3)
-    latency.add_argument("--count", type=int, default=30)
+    def add_runner(name, summary, *flags):
+        return sub.add_parser(
+            name, help=summary,
+            parents=[shared[flag] for flag in ("--seed", *flags)],
+        )
 
-    broadcast = sub.add_parser("broadcast", help="total order broadcast")
-    broadcast.add_argument("--processes", type=int, default=8)
-    broadcast.add_argument(
-        "--system", default="1pipe",
-        choices=["1pipe", "switchseq", "hostseq", "token", "lamport"],
+    chaos = add_runner(
+        "chaos", "seeded gray-failure campaign + invariant monitor",
+        "--jobs", "--metrics", "--adversarial",
     )
-
-    failure = sub.add_parser("failure", help="crash a component")
-    failure.add_argument("--crash", default="h3",
-                         help="host (h3) or switch (tor0.0, core0)")
-
-    sub.add_parser("snapshot", help="consistent snapshot demo")
-
-    chaos = sub.add_parser(
-        "chaos", help="seeded gray-failure campaign + invariant monitor"
-    )
-    chaos.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                       help="campaign seed (overrides the global --seed)")
     chaos.add_argument("--episodes", type=int, default=12)
     chaos.add_argument("--processes", type=int, default=16)
     chaos.add_argument("--faults", type=int, default=4,
                        help="faults injected per episode")
     chaos.add_argument("--mode", default="all", choices=("all",) + ALL_MODES)
-    chaos.add_argument("--adversarial", action="store_true",
-                       help="mix Byzantine fault kinds (lying senders, "
-                            "corrupt beacons, equivocation, forged notices) "
-                            "into the campaign and run the Byzantine "
-                            "monitor; with --mode all, also cycles the bft "
-                            "incarnation (see docs/BYZANTINE.md)")
     chaos.add_argument("--raft", action="store_true",
                        help="replicate the controller on Raft and inject "
                             "leader partitions")
-    chaos.add_argument("--metrics", action="store_true",
-                       help="embed per-episode metrics summaries in the "
-                            "report (see docs/OBSERVABILITY.md)")
-    chaos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for episodes (the report is "
-                            "byte-identical for any job count)")
     chaos.add_argument("--out", default="results/chaos_campaign.json")
 
-    observe = sub.add_parser(
-        "observe", help="instrumented run: metrics report + Chrome trace"
+    observe = add_runner(
+        "observe", "instrumented run: metrics report + Chrome trace"
     )
-    observe.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                         help="run seed (overrides the global --seed)")
     observe.add_argument("--hosts", type=int, default=8, choices=[8, 32],
                          help="fat-tree size (8: small episode fabric, 32: testbed)")
     observe.add_argument("--mode", default="chip", choices=ALL_MODES)
@@ -531,13 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     observe.add_argument("--out-trace",
                          default="results/observe_trace.json")
 
-    shootout = sub.add_parser(
-        "shootout", help="baseline shootout: every total-order protocol "
-                         "under identical chaos, per-protocol contract "
-                         "oracles, crossover report"
+    shootout = add_runner(
+        "shootout", "baseline shootout: every total-order protocol "
+                    "under identical chaos, per-protocol contract "
+                    "oracles, crossover report",
+        "--jobs", "--metrics", "--quiet",
     )
-    shootout.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                          help="shootout seed (overrides the global --seed)")
     shootout.add_argument("--protocols", default=None,
                           help="comma-separated subset (default: lamport,"
                                "sequencer,token,epto,switchpaxos,onepipe)")
@@ -546,41 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
                                "crash,gray,degraded)")
     shootout.add_argument("--members", type=int, default=8,
                           help="broadcast group size")
-    shootout.add_argument("--metrics", action="store_true",
-                          help="embed per-cell metrics summaries in the "
-                               "report (see docs/OBSERVABILITY.md)")
-    shootout.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for cells (the report is "
-                               "byte-identical for any job count)")
-    shootout.add_argument("--quiet", action="store_true",
-                          help="suppress per-cell progress lines")
     shootout.add_argument("--out", default="results/shootout_k4.json")
 
-    workload = sub.add_parser(
-        "workload", help="open-loop multi-tenant overload scenarios "
-                         "with admission control + per-tenant SLOs"
+    workload = add_runner(
+        "workload", "open-loop multi-tenant overload scenarios "
+                    "with admission control + per-tenant SLOs",
+        "--jobs",
     )
-    workload.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                          help="scenario seed (overrides the global --seed)")
     workload.add_argument("--scenario", default="hotspot",
                           choices=["hotspot", "flash_crowd", "retry_storm"])
     workload.add_argument("--faults", type=int, default=0,
                           help="gray-failure faults injected per shard "
                                "(chaos schedule composed with the overload)")
-    workload.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for shards (the report is "
-                               "byte-identical for any job count)")
     workload.add_argument("--out", default=None,
                           help="report path (default: "
                                "results/workload_<scenario>.json)")
 
-    hyperscale = sub.add_parser(
-        "hyperscale", help="hybrid-fidelity run: packet-level hot island "
-                           "+ flow-level cold fabric (10k+ modeled hosts)"
+    hyperscale = add_runner(
+        "hyperscale", "hybrid-fidelity run: packet-level hot island "
+                      "+ flow-level cold fabric (10k+ modeled hosts)"
     )
-    hyperscale.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                            help="scenario seed (overrides the global "
-                                 "--seed)")
     hyperscale.add_argument("--scenario", default="k8_cold",
                             help="scenario name (see --list)")
     hyperscale.add_argument("--windows", type=int, default=None,
@@ -591,45 +404,25 @@ def build_parser() -> argparse.ArgumentParser:
     hyperscale.add_argument("--list", action="store_true",
                             help="list scenarios and exit")
 
-    verify = sub.add_parser(
-        "verify", help="fuzzed episodes checked against the delivery-"
-                       "contract reference oracle"
+    verify = add_runner(
+        "verify", "fuzzed episodes checked against the delivery-"
+                  "contract reference oracle",
+        "--jobs", "--metrics", "--quiet", "--adversarial",
     )
-    verify.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="fuzzer seed (overrides the global --seed)")
     verify.add_argument("--episodes", type=int, default=10)
     verify.add_argument("--faults", type=int, default=3,
                         help="faults injected per episode")
     verify.add_argument("--mode", "--incarnation", default="all",
                         choices=("all",) + ALL_MODES)
-    verify.add_argument("--adversarial", action="store_true",
-                        help="mix Byzantine fault kinds into the fuzzed "
-                             "episodes and run the oracle's attack-mode "
-                             "checks; with --mode all, also cycles the bft "
-                             "incarnation (see docs/BYZANTINE.md)")
     verify.add_argument("--scale", default="small", choices=EPISODE_SCALES,
                         help="episode topology (small: 8-host fat-tree)")
     verify.add_argument("--no-shrink", action="store_true",
                         help="skip shrinking the first failing episode")
-    verify.add_argument("--metrics", action="store_true",
-                        help="embed per-episode metrics summaries in the "
-                             "report (see docs/OBSERVABILITY.md)")
-    verify.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for episode x mode pairs "
-                             "(the report is byte-identical for any job "
-                             "count)")
-    verify.add_argument("--quiet", action="store_true",
-                        help="suppress per-episode progress lines")
     verify.add_argument("--out", default="results/verify_report.json")
     return parser
 
 
 COMMANDS = {
-    "topology": cmd_topology,
-    "latency": cmd_latency,
-    "broadcast": cmd_broadcast,
-    "failure": cmd_failure,
-    "snapshot": cmd_snapshot,
     "chaos": cmd_chaos,
     "observe": cmd_observe,
     "verify": cmd_verify,

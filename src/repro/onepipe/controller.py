@@ -114,6 +114,7 @@ class Controller:
                 if node_id.endswith(".up")
             ]
         self._reports: List[DeadLinkReport] = []
+        self._decided = 0  # leading _reports the last Determine covered
         self._report_engines: Dict[Link, Any] = {}
         self._all_dead_links: Set[Link] = set()
         self._episode: Optional[RecoveryRecord] = None
@@ -271,6 +272,7 @@ class Controller:
         self._batch_timer = None
         episode = self._episode
         episode.determine_time = self.sim.now
+        self._decided = len(self._reports)
         if self._bft:
             # Cross-check the batch: two notices naming the same link
             # with different cut timestamps means some reporter lied.
@@ -358,14 +360,16 @@ class Controller:
 
     def _resume(self) -> None:
         episode = self._episode
-        if episode is None:
+        if episode is None or not self._decided:
             # Two report batches can race to Resume: when fresh reports
             # arrive while a Broadcast is still in flight, both the
             # broadcast's completion path and the new batch's Determine
-            # call _resume; whichever runs first handles every
-            # accumulated report and clears the episode.
+            # call _resume; whichever runs first resumes every report a
+            # Determine has covered, and the other finds nothing to do.
             return
-        for report in self._reports:
+        decided = self._reports[:self._decided]
+        late = self._reports[self._decided:]
+        for report in decided:
             engine = self._report_engines.get(report.link)
             if engine is not None:
                 self.sim.schedule(
@@ -375,22 +379,29 @@ class Controller:
                 )
         # Reconfigure routing tables around the dead links (the SDN
         # controller's job, §3.1), so retransmissions take live paths.
-        self._all_dead_links.update(report.link for report in self._reports)
+        self._all_dead_links.update(report.link for report in decided)
         self.sim.schedule(self.config.ctrl_delay_ns, self._reroute)
         episode.resume_time = self.sim.now + self.config.ctrl_delay_ns
         if self._tracer.enabled:
             self._tracer.trace(
                 self.sim.now, "controller", "resume",
-                dead_links=len(self._reports),
+                dead_links=len(decided),
                 failed_procs=tuple(p for p, _ts in episode.failed_procs),
             )
         self.recoveries.append(episode)
         if self._metrics.enabled:
             self._m_recoveries.add()
             self._m_recovery_ns.observe(episode.duration_ns)
-        self._episode = None
-        self._reports = []
-        self._report_engines = {}
+        # Reports that arrived after Determine were never decided: they
+        # open the next episode, and the batch timer their arrival armed
+        # determines them.  Their links are already in this episode's
+        # dead_links, counted on arrival.
+        self._episode = RecoveryRecord(self.sim.now) if late else None
+        self._reports = late
+        self._report_engines = {
+            report.link: self._report_engines[report.link] for report in late
+        }
+        self._decided = 0
 
     def _reroute(self) -> None:
         clear_routes(self.topology)

@@ -97,6 +97,16 @@ class TestCampaign:
         assert report["ok"] is True
         assert report["campaign"]["use_raft"] is True
 
+    def test_report_during_broadcast_is_carried_not_crashed(self):
+        """Seed 101, episode 5: a dead-link report lands during
+        Broadcast and its batch timer fires after Resume.  The
+        controller once crashed there; the report now opens a second
+        recovery and the episode holds every invariant."""
+        report = CampaignRunner(seed=101, episodes=6).run_episode(5)
+        assert report["violations"] == []
+        assert len(report["recoveries"]) == 2
+        assert report["messages_delivered"] == 375
+
     def test_write_report_round_trips(self, tmp_path):
         report = {"ok": True, "total_violations": 0}
         path = tmp_path / "nested" / "report.json"

@@ -5,6 +5,7 @@ import pytest
 from repro.consensus.raft import RaftGroup, RaftReplicator
 from repro.net import FailureInjector
 from repro.onepipe import OnePipeCluster
+from repro.onepipe.failure import DeadLinkReport
 from repro.sim import Simulator
 
 from tests.onepipe.conftest import Recorder
@@ -175,3 +176,39 @@ def test_resume_without_active_episode_is_noop():
     cluster = OnePipeCluster(sim, n_processes=4)
     cluster.controller._resume()
     assert cluster.controller.recoveries == []
+
+
+def test_report_between_determine_and_resume_opens_the_next_episode():
+    """A dead-link report that lands after Determine was not in that
+    episode's cut.  Resume leaves it undecided: it opens the next
+    episode, and the batch timer its arrival armed determines it
+    (before, Resume cleared the episode under the armed timer, and
+    the timer's Determine crashed on the missing episode)."""
+    sim = Simulator(seed=61)
+    cluster = OnePipeCluster(sim, n_processes=8)
+    controller = cluster.controller
+    late_link = cluster.topology.link("spine0.0.up", "core0")
+    real_resume = controller._resume
+
+    def resume_after_a_late_report():
+        if not controller.recoveries:
+            assert controller._episode.determine_time is not None
+            controller._receive_report(DeadLinkReport("core0", late_link, 0))
+        real_resume()
+        if len(controller.recoveries) == 1:
+            # Resumed only what Determine decided.
+            assert late_link not in controller._all_dead_links
+            assert controller._episode is not None
+
+    controller._resume = resume_after_a_late_report
+    FailureInjector(cluster.topology).crash_host("h3", at=100_000)
+    sim.run(until=1_000_000)
+    first, second = controller.recoveries
+    assert first.failed_procs == [(3, controller.failed_procs[3])]
+    assert late_link.name in first.dead_links
+    assert second.dead_links == []  # counted once, on arrival
+    assert second.failed_procs == []
+    assert second.determine_time > first.determine_time
+    assert second.resume_time > first.resume_time
+    assert late_link in controller._all_dead_links
+    assert controller._episode is None

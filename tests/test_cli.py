@@ -5,80 +5,15 @@ import pytest
 from repro.cli import main
 
 
-def test_topology(capsys):
-    assert main(["topology"]) == 0
-    out = capsys.readouterr().out
-    assert "hosts: 32" in out
-    assert "tor0.0.up" in out
-
-
-def test_latency_best_effort(capsys):
-    assert main(["latency", "--processes", "8", "--count", "10"]) == 0
-    out = capsys.readouterr().out
-    assert "best-effort 1Pipe" in out
-    assert "mean" in out
-
-
-def test_latency_reliable(capsys):
-    assert main(
-        ["latency", "--processes", "4", "--count", "5", "--reliable"]
-    ) == 0
-    assert "reliable 1Pipe" in capsys.readouterr().out
-
-
-def test_latency_p95_uses_ceil_rank(monkeypatch, capsys):
-    """Regression: the p95 line once used ``sorted(x)[int(n*0.95)-1]``,
-    a truncating rank that read ~p85 on small sample counts.  The CLI
-    now delegates to LatencyProbe's ceil-rank percentile."""
-    from repro.bench import harness
-
-    class CannedProbe(harness.LatencyProbe):
-        def __init__(self, sim):
-            super().__init__(sim)
-            self.latencies = list(range(1_000, 11_000, 1_000))
-
-        def mark_sent(self, tag):
-            pass
-
-        def mark_delivered(self, tag):
-            pass
-
-    monkeypatch.setattr(harness, "LatencyProbe", CannedProbe)
-    assert main(["latency", "--processes", "4", "--count", "5"]) == 0
-    out = capsys.readouterr().out
-    # Ceil rank over 10 samples: p95 is the max (10 us).  The old
-    # truncating formula reported rank 9 (9.00 us).
-    assert "p95 10.00 us" in out
-    assert "mean 5.50 us" in out
-
-
-def test_broadcast_onepipe(capsys):
-    assert main(["broadcast", "--processes", "4"]) == 0
-    assert "1pipe" in capsys.readouterr().out
-
-
-def test_broadcast_token(capsys):
-    assert main(["broadcast", "--processes", "4", "--system", "token"]) == 0
-    assert "token" in capsys.readouterr().out
-
-
-def test_failure_host(capsys):
-    assert main(["failure", "--crash", "h3"]) == 0
-    out = capsys.readouterr().out
-    assert "failed processes: [3]" in out
-    assert "recovery" in out
-
-
-def test_snapshot(capsys):
-    assert main(["snapshot"]) == 0
-    assert "consistent!" in capsys.readouterr().out
-
-
 def test_unknown_command_rejected():
-    # "bench": perf/run.py is the one benchmark, not a subcommand.
-    for command in ("nonsense", "bench"):
+    # "bench": perf/run.py is the one benchmark, not a subcommand.  The
+    # single-feature demos are scripts in examples/, and --seed belongs
+    # to each subcommand, not to the program.
+    for argv in (["nonsense"], ["bench"], ["topology"], ["latency"],
+                 ["broadcast"], ["failure"], ["snapshot"],
+                 ["--seed", "9", "chaos"]):
         with pytest.raises(SystemExit) as exit_info:
-            main([command])
+            main(argv)
         assert exit_info.value.code == 2
 
 
@@ -101,9 +36,8 @@ def test_chaos_same_seed_byte_identical_reports(tmp_path, capsys):
             "--mode", "chip"]
     out_a = str(tmp_path / "a.json")
     out_b = str(tmp_path / "b.json")
-    # Subcommand --seed and global --seed are the same knob.
     assert main(["chaos", "--seed", "9", *args, "--out", out_a]) == 0
-    assert main(["--seed", "9", "chaos", *args, "--out", out_b]) == 0
+    assert main(["chaos", "--seed", "9", *args, "--out", out_b]) == 0
     capsys.readouterr()
     a = open(out_a, "rb").read()
     assert a == open(out_b, "rb").read()
@@ -133,17 +67,6 @@ def test_shootout_small_grid(tmp_path, capsys):
     assert set(cells) == {"sequencer", "switchpaxos"}
     for cell in cells.values():
         assert cell["delivery_permille"] == 1000
-
-
-def test_shootout_global_seed_matches_subcommand_seed(tmp_path, capsys):
-    args = ["--members", "4", "--protocols", "sequencer",
-            "--scenarios", "clean", "--quiet"]
-    out_a = str(tmp_path / "a.json")
-    out_b = str(tmp_path / "b.json")
-    assert main(["shootout", "--seed", "9", *args, "--out", out_a]) == 0
-    assert main(["--seed", "9", "shootout", *args, "--out", out_b]) == 0
-    capsys.readouterr()
-    assert open(out_a, "rb").read() == open(out_b, "rb").read()
 
 
 def test_verify_clean_run(tmp_path, capsys):
@@ -228,7 +151,6 @@ def test_mode_choices_follow_the_incarnation_list():
         if isinstance(action, argparse._SubParsersAction)
     ]
     expected = {
-        "latency": list(ALL_MODES),
         "observe": list(ALL_MODES),
         "chaos": ["all", *ALL_MODES],
         "verify": ["all", *ALL_MODES],
