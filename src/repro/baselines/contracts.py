@@ -20,10 +20,10 @@ EVENTUAL_TOTAL_ORDER  Same as AGREED plus an explicit *stability lag*: order
                       (EpTO.)
 ====================  =======================================================
 
-1Pipe itself is checked by the §2.1 machinery
-(:class:`repro.chaos.monitor.InvariantMonitor` /
-``repro.verify.oracle.ReferenceOracle``); the shootout folds those
-violations into the same report format under the contract name
+1Pipe itself is checked by the §2.1 reference oracle
+(``repro.verify.oracle.ReferenceOracle``, fed by
+:class:`repro.chaos.monitor.InvariantMonitor`); the shootout folds
+those violations into the same report format under the contract name
 ``ONEPIPE_S21``.
 
 The oracle's inputs are protocol-agnostic: per-member delivered logs of

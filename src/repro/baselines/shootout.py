@@ -369,16 +369,9 @@ class ShootoutRunner:
             )
 
         def send_one(sender: int, seq: int) -> None:
-            endpoint = cluster.endpoint(sender)
-            failed = set()
-            if cluster.controller is not None:
-                failed.update(cluster.controller.failed_procs)
-            if (
-                sender in failed
-                or endpoint.closed
-                or endpoint.agent.host.failed
-            ):
+            if sender in cluster.down_procs():
                 return
+            endpoint = cluster.endpoint(sender)
             entries = []
             for dst in range(n):
                 if dst == sender:

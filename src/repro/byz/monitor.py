@@ -1,18 +1,19 @@
 """Byzantine-aware invariant monitoring.
 
 :class:`ByzantineMonitor` extends the fail-stop
-:class:`~repro.chaos.monitor.InvariantMonitor` with checks that only
-make sense once components can *lie* rather than merely crash:
+:class:`~repro.chaos.monitor.InvariantMonitor` for episodes in which
+components can *lie* rather than merely crash.  The §2.1 attack rules
+(equivocation, an unevicted lying sender, a framed process, completions
+denied under a corrupted barrier) live in the reference oracle, which
+the monitor hands the schedule's :func:`attack_info`.  The monitor adds
+the checks that read controller state the oracle's observation does
+not carry:
 
-- **No fabrication (delivery-time)** — a delivered payload that was
-  never sent to that receiver is fabricated or equivocated (§2.1's
-  integrity assumption, broken by ``byz_equivocate``).
-- **Lying sender attribution (final)** — a ``byz_lying_sender`` target
-  whose assigned scattering timestamps regress, and which the cluster
-  never evicted, breaches §2.1's monotone-timestamp rule undetected.
-- **Wrongful eviction (final)** — a host evicted in an episode whose
-  only faults are adversarial, without being an adversary the hardened
-  mode is *expected* to evict, was framed (``byz_forge_notice``).
+- **Wrongful host eviction (final)** — a host evicted in an episode
+  whose only faults are adversarial, without being an adversary the
+  hardened mode is *expected* to evict, was framed
+  (``byz_forge_notice``).  Host-level, so wider than the oracle's
+  per-process rule.
 - **Containment (final, ``MODE_BFT`` only)** — every adversary the
   schedule planted must leave a detection trail: lying/equivocating
   hosts evicted within the configured grace, corrupt beacon engines
@@ -29,6 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.chaos.monitor import InvariantMonitor
 from repro.onepipe.config import MODE_BFT
+from repro.verify.oracle import AttackInfo
 
 # Adversary kind -> the §2.1 clause it breaks in un-hardened modes.
 ADVERSARY_CLAUSES = {
@@ -54,11 +56,32 @@ ADVERSARY_CLAUSES = {
 # Legitimate kinds that can cause a justified host eviction (dead links
 # long enough for §5.2 Determine to fire).  When any of these is in the
 # schedule, eviction attribution is ambiguous and the wrongful-eviction
-# check stands down.
+# checks stand down.
 _EVICTION_CAPABLE = frozenset({
     "crash_host", "cable_flap", "switch_flap", "link_flap",
     "burst_loss", "degrade_link", "straggler", "ctrl_partition",
 })
+
+
+def attack_info(faults) -> Optional[AttackInfo]:
+    """The oracle's attack-mode input for a list of fault events.
+
+    Returns None for fault lists without adversarial (``byz_*``) kinds,
+    so plain episodes check exactly as they would without attack mode.
+    """
+    adversaries = [
+        (event.kind, event.target)
+        for event in faults
+        if event.kind in ADVERSARY_CLAUSES
+    ]
+    if not adversaries:
+        return None
+    return AttackInfo(
+        adversaries=adversaries,
+        eviction_capable_faults=any(
+            event.kind in _EVICTION_CAPABLE for event in faults
+        ),
+    )
 
 
 class ByzantineMonitor(InvariantMonitor):
@@ -67,66 +90,25 @@ class ByzantineMonitor(InvariantMonitor):
     Construct like the base monitor, then hand it the episode's
     :class:`~repro.chaos.schedule.ChaosSchedule` via
     :meth:`set_schedule` (the campaign builds the monitor before it
-    draws the schedule).  All base §2.1 checks run unchanged; the
-    Byzantine checks are additive.
+    draws the schedule).  The oracle then runs its attack rules; the
+    host-level checks here are additive.
     """
 
     def __init__(self, cluster, schedule=None, **kwargs) -> None:
-        self._byz_events: List = []
-        self._legit_events: List = []
-        self._all_scatterings: Dict[int, List] = {}
         super().__init__(cluster, **kwargs)
         self._bft = cluster.config.mode == MODE_BFT
-        if schedule is not None:
-            self.set_schedule(schedule)
+        self.set_schedule(schedule or [])
 
     def set_schedule(self, schedule) -> None:
-        self._byz_events = [
-            e for e in schedule if e.kind in ADVERSARY_CLAUSES
-        ]
-        self._legit_events = [
-            e for e in schedule if e.kind not in ADVERSARY_CLAUSES
-        ]
-
-    # ------------------------------------------------------------------
-    # Instrumentation hooks
-    # ------------------------------------------------------------------
-    def _note_send(self, src, entries, reliable, scattering) -> None:
-        super()._note_send(src, entries, reliable, scattering)
-        if scattering is not None:
-            # The base class keeps reliable scatterings only; timestamp
-            # forensics needs every scattering in send order.
-            self._all_scatterings.setdefault(src, []).append(scattering)
-
-    def _make_delivery_callback(self, receiver: int):
-        base = super()._make_delivery_callback(receiver)
-
-        def on_delivery(message) -> None:
-            base(message)
-            self._check_integrity(receiver, message)
-
-        return on_delivery
-
-    def _check_integrity(self, receiver: int, message) -> None:
-        sent = self._sent.get((message.src, receiver))
-        if sent is None:
-            return  # sent before instrumentation or via a side door
-        if message.payload not in sent:
-            self._record(
-                "no_fabrication",
-                f"receiver {receiver} delivered payload "
-                f"{message.payload!r} from {message.src} that was never "
-                f"sent to it ({ADVERSARY_CLAUSES['byz_equivocate']})",
-                receiver=receiver,
-            )
+        self.attack = attack_info(list(schedule))
+        self._adversaries = self.attack.adversaries if self.attack else []
 
     # ------------------------------------------------------------------
     # Final checks
     # ------------------------------------------------------------------
     def final_check(self):
         super().final_check()
-        self.check_lying_detected()
-        self.check_wrongful_eviction()
+        self.wrongful_host_eviction()
         if self._bft:
             self.check_adversary_contained()
         return self.violations
@@ -135,51 +117,23 @@ class ByzantineMonitor(InvariantMonitor):
         agent = self.cluster.agents.get(host_id)
         return sorted(agent.endpoints) if agent is not None else []
 
-    def check_lying_detected(self) -> None:
-        """A lying-sender target whose assigned timestamps regressed and
-        which was never evicted broke monotone timestamps undetected."""
-        controller = self.cluster.controller
-        failed = set(controller.failed_procs) if controller else set()
-        for event in self._byz_events:
-            if event.kind != "byz_lying_sender":
-                continue
-            for src in self._target_procs(event.target):
-                stamps = [
-                    s.ts
-                    for s in self._all_scatterings.get(src, [])
-                    if s.ts is not None
-                ]
-                regressed = any(
-                    later < earlier
-                    for earlier, later in zip(stamps, stamps[1:])
-                )
-                if regressed and src not in failed:
-                    self._record(
-                        "lying_undetected",
-                        f"process {src} on {event.target} assigned "
-                        f"regressing timestamps and was never evicted "
-                        f"({ADVERSARY_CLAUSES['byz_lying_sender']})",
-                    )
-
-    def check_wrongful_eviction(self) -> None:
+    def wrongful_host_eviction(self) -> None:
         """In a purely adversarial episode, the only hosts that may end
         up evicted are adversaries the hardened mode is expected to
         evict — anything else was framed by fabricated evidence."""
         controller = self.cluster.controller
-        if controller is None or not self._byz_events:
+        attack = self.attack
+        if controller is None or attack is None:
             return
-        if any(e.kind in _EVICTION_CAPABLE for e in self._legit_events):
+        if attack.eviction_capable_faults:
             return  # a real fault could justify the eviction
-        expected = {
-            e.target
-            for e in self._byz_events
-            if e.kind in ("byz_lying_sender", "byz_equivocate")
-        }
+        expected = set(attack.targets("byz_lying_sender"))
+        expected.update(attack.targets("byz_equivocate"))
         for host_id in sorted(controller.failed_hosts):
             if host_id in expected:
                 continue
             self._record(
-                "wrongful_eviction",
+                "wrongful_host_eviction",
                 f"correct host {host_id} was evicted without any real "
                 f"fault ({ADVERSARY_CLAUSES['byz_forge_notice']})",
             )
@@ -194,10 +148,10 @@ class ByzantineMonitor(InvariantMonitor):
         grace_ns = (
             config.byz_eviction_grace_intervals * config.beacon_interval_ns
         )
-        for event in self._byz_events:
-            clause = ADVERSARY_CLAUSES[event.kind]
-            if event.kind in ("byz_lying_sender", "byz_equivocate"):
-                procs = set(self._target_procs(event.target))
+        for kind, target in self._adversaries:
+            clause = ADVERSARY_CLAUSES[kind]
+            if kind in ("byz_lying_sender", "byz_equivocate"):
+                procs = set(self._target_procs(target))
                 if not procs:
                     continue
                 # Only require eviction when a receiver or engine
@@ -216,17 +170,17 @@ class ByzantineMonitor(InvariantMonitor):
                 if not evicted:
                     self._record(
                         "adversary_undetected",
-                        f"{event.kind} on {event.target} was accused but "
+                        f"{kind} on {target} was accused but "
                         f"never evicted ({clause})",
                     )
                 elif min(evicted) - min(evidence) > grace_ns:
                     self._record(
                         "slow_eviction",
-                        f"{event.kind} on {event.target} evicted "
+                        f"{kind} on {target} evicted "
                         f"{min(evicted) - min(evidence)}ns after the "
                         f"first accusation (grace {grace_ns}ns, {clause})",
                     )
-            elif event.kind == "byz_corrupt_beacon":
+            elif kind == "byz_corrupt_beacon":
                 rejections = sum(
                     getattr(agent, "beacons_rejected", 0)
                     for agent in self.cluster.agents.values()
@@ -235,21 +189,21 @@ class ByzantineMonitor(InvariantMonitor):
                     for engine in self.cluster.engines.values()
                 )
                 accused = any(
-                    s == event.target
+                    s == target
                     for (_t, _a, s, _d) in controller.accusations
                 )
                 if rejections and not accused:
                     self._record(
                         "adversary_undetected",
-                        f"corrupt beacon engine {event.target} had "
+                        f"corrupt beacon engine {target} had "
                         f"beacons rejected but was never accused "
                         f"({clause})",
                     )
-            elif event.kind == "byz_forge_notice":
+            elif kind == "byz_forge_notice":
                 if controller.reports_rejected < 1:
                     self._record(
                         "adversary_undetected",
-                        f"forged dead-link notice naming {event.target} "
+                        f"forged dead-link notice naming {target} "
                         f"was not rejected ({clause})",
                     )
 
@@ -261,27 +215,21 @@ class ByzantineMonitor(InvariantMonitor):
         and the cluster's response — campaign report material."""
         controller = self.cluster.controller
         out: List[Dict[str, object]] = []
-        for event in self._byz_events:
+        for kind, target in self._adversaries:
             entry: Dict[str, object] = {
-                "kind": event.kind,
-                "target": event.target,
-                "clause": ADVERSARY_CLAUSES[event.kind],
+                "kind": kind,
+                "target": target,
+                "clause": ADVERSARY_CLAUSES[kind],
             }
             if controller is not None:
-                procs = set(self._target_procs(event.target))
-                entry["accused"] = sorted(
-                    {
-                        str(s)
-                        for (_t, _a, s, _d) in controller.accusations
-                        if s == event.target or s in procs
-                    }
-                )
-                entry["evicted"] = sorted(
-                    {
-                        p
-                        for (_t, p, _d) in controller.evictions
-                        if p in procs
-                    }
-                )
+                procs = set(self._target_procs(target))
+                entry["accused"] = sorted({
+                    str(s)
+                    for (_t, _a, s, _d) in controller.accusations
+                    if s == target or s in procs
+                })
+                entry["evicted"] = sorted({
+                    p for (_t, p, _d) in controller.evictions if p in procs
+                })
             out.append(entry)
         return out

@@ -38,11 +38,10 @@ class TrafficDriver:
 
     Every ``interval_ns`` a few live processes each send one scattering
     (reliable or best-effort, coin-flipped) to distinct destinations.
-    Processes the controller has declared failed stop sending — the
-    failure callback kills the real application too (§5.2 Callback).
-    Payloads embed (episode, sender, sequence, destination) so they are
-    globally unique, which the monitor's FIFO and exactly-once checks
-    rely on.
+    Down processes (:meth:`OnePipeCluster.down_procs`) stop sending —
+    the failure callback kills the real application too (§5.2
+    Callback).  Payloads embed (episode, sender, sequence, destination)
+    so they are globally unique.
     """
 
     def __init__(
@@ -73,15 +72,8 @@ class TrafficDriver:
             return
         cluster = self.cluster
         n = cluster.n_processes
-        failed = set()
-        if cluster.controller is not None:
-            failed.update(cluster.controller.failed_procs)
-        alive = [
-            i for i in range(n)
-            if i not in failed
-            and not cluster.endpoint(i).closed
-            and not cluster.endpoint(i).agent.host.failed
-        ]
+        down = cluster.down_procs()
+        alive = [i for i in range(n) if i not in down]
         senders = self.rng.sample(
             alive, min(self.senders_per_round, len(alive))
         )

@@ -6,9 +6,9 @@ share one implementation.  It subscribes to every endpoint's delivery
 stream and failure callbacks and offers the two classic total-order
 assertions (per-receiver sortedness and pairwise agreement).
 
-For continuous invariant checking with structured, seed-carrying
-violations, use :class:`repro.chaos.monitor.InvariantMonitor`, which
-builds on the same subscriptions.
+For §2.1 checking with structured, seed-carrying violations, use
+:class:`repro.chaos.monitor.InvariantMonitor`, which records the run
+for the reference oracle.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ This is the entry point used by the examples and every benchmark::
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.net.rpc import Directory
 from repro.net.topology import Topology, build_testbed
@@ -125,6 +125,17 @@ class OnePipeCluster:
     @property
     def n_processes(self) -> int:
         return len(self.endpoints)
+
+    def down_procs(self) -> Set[int]:
+        """Processes that are down: declared failed by the controller,
+        placed on a failed host, or with a closed endpoint."""
+        down = set()
+        if self.controller is not None:
+            down.update(self.controller.failed_procs)
+        for endpoint in self.endpoints:
+            if endpoint.closed or endpoint.agent.host.failed:
+                down.add(endpoint.proc_id)
+        return down
 
     def add_endpoint(self, host_id: str, proc_id: int) -> OnePipeEndpoint:
         """Register a new process (e.g. a recovered receiver re-joining

@@ -49,12 +49,6 @@ class OnePipeConfig:
     ack_bytes: int = 0                       # ACK payload size (headers only)
     transport: TransportParams = field(default_factory=TransportParams)
 
-    # Deliver best-effort and reliable messages as one merged total order
-    # (gating best-effort messages behind uncommitted reliable messages
-    # with smaller timestamps).  Independent planes are only useful for
-    # measuring a single service in isolation.
-    strict_merge: bool = True
-
     # --- control plane ----------------------------------------------------
     # One-way latency of the management network between any component and
     # the controller (the paper assumes a separate, always-on management

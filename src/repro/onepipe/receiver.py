@@ -10,11 +10,12 @@ Receive path (paper §4.1, §5.1):
    *detection*, reliable for loss *recovery*).
 3. Delivery is gated by barriers: a best-effort message is delivered
    when the best-effort barrier passes its timestamp; a reliable message
-   when the commit barrier does.  With ``strict_merge`` both services
-   share one queue, so a best-effort message never overtakes an
-   uncommitted reliable message with a smaller timestamp — giving one
-   consistent total order across services (what the paper's KVS relies
-   on when mixing read-only/best-effort with write/reliable traffic).
+   when the commit barrier does.  Both services share one queue, and a
+   best-effort message also waits for the commit barrier, so it never
+   overtakes an uncommitted reliable message with a smaller timestamp —
+   giving one consistent total order across services (what the paper's
+   KVS relies on when mixing read-only/best-effort with write/reliable
+   traffic).
 4. A message whose timestamp is below the barrier already used for
    delivery arrived too late: it is dropped and a NAK returned (§4.1).
    Duplicates of already-delivered messages are re-ACKed silently
@@ -271,7 +272,6 @@ class ProcessReceiver:
         heappop = heapq.heappop
         tombstones = self._tombstones
         buffered = self._buffered
-        strict_merge = self.config.strict_merge
         be_floor = self._be_floor
         commit_floor = self._commit_floor
         while heap:
@@ -298,7 +298,7 @@ class ProcessReceiver:
                 # arrive.  Without this gate, chaos campaigns deliver a
                 # retransmitted reliable message below an already-
                 # delivered best-effort timestamp.
-                if strict_merge and ts >= commit_floor:
+                if ts >= commit_floor:
                     break
             heappop(heap)
             buffered.discard(key)

@@ -271,7 +271,7 @@ def replay_episode(
             f"delivery trace overflowed: {sim.tracer.dropped} records "
             f"dropped at limit {trace_limit} — raise trace_limit"
         )
-    observation = _extract_observation(sim, cluster, records)
+    observation = extract_observation(sim, cluster, records)
     late_naks = sum(
         cluster.endpoint(i).receiver.late_naks
         for i in range(cluster.n_processes)
@@ -305,19 +305,14 @@ def drive_sends(
     None when the send buffer was full), and every op whose sender was
     closed, failed or declared failed when it fired.
     """
-    controller = cluster.controller
     records: List[Tuple[SendOp, Any]] = []
     skipped: List[SendOp] = []
 
     def issue(op: SendOp) -> None:
-        endpoint = cluster.endpoint(op.src)
-        if (
-            endpoint.closed
-            or endpoint.agent.host.failed
-            or (controller is not None and op.src in controller.failed_procs)
-        ):
+        if op.src in cluster.down_procs():
             skipped.append(op)
             return
+        endpoint = cluster.endpoint(op.src)
         send = endpoint.reliable_send if op.reliable else endpoint.unreliable_send
         records.append((op, send(list(op.entries))))
 
@@ -332,16 +327,10 @@ def extract_observation(
     """Build an :class:`EpisodeObservation` from a finished run.
 
     ``records`` is a list of ``(SendOp, Scattering)`` pairs in issue
-    order.  Public so other harnesses (the workload engine's raw-mode
-    saturation tests) can feed their own traffic through the same
-    §2.1 reference oracle.
+    order (``Scattering`` is None when the send buffer was full), as
+    :func:`drive_sends` and :class:`repro.chaos.monitor.InvariantMonitor`
+    collect them; the deliveries come from ``sim``'s tracer.
     """
-    return _extract_observation(sim, cluster, records)
-
-
-def _extract_observation(
-    sim: Simulator, cluster: OnePipeCluster, records
-) -> EpisodeObservation:
     sends: List[SentMessage] = []
     completions: Dict[int, Optional[bool]] = {}
     pair_seq: Dict[Tuple[int, int], int] = {}
@@ -391,16 +380,10 @@ def _extract_observation(
                 (time, fields["failed_proc"], fields["failure_ts"])
             )
 
-    failure_cutoffs: Dict[int, int] = {}
-    failed: set = set()
     controller = cluster.controller
-    if controller is not None:
-        failure_cutoffs = dict(controller.failed_procs)
-        failed.update(controller.failed_procs)
-    for index in range(cluster.n_processes):
-        endpoint = cluster.endpoint(index)
-        if endpoint.agent.host.failed or endpoint.closed:
-            failed.add(endpoint.proc_id)
+    failure_cutoffs = (
+        dict(controller.failed_procs) if controller is not None else {}
+    )
     proc_hosts = {
         index: cluster.endpoint(index).agent.host.node_id
         for index in range(cluster.n_processes)
@@ -409,7 +392,7 @@ def _extract_observation(
         sends=sends,
         completions=completions,
         failure_cutoffs=failure_cutoffs,
-        failed_procs=failed,
+        failed_procs=cluster.down_procs(),
         deliveries=deliveries,
         cutoff_notices=cutoff_notices,
         proc_hosts=proc_hosts,

@@ -33,6 +33,8 @@ The contract, as checkable statements:
   happened before the notice cannot be retracted and are legal even if
   the eventually-determined cutoff is below their timestamps (the
   application handles those through failure notification callbacks).
+  :func:`failure_cutoff_strict` states the stricter reading, which has
+  no such exemption; :meth:`ReferenceOracle.check` does not run it.
 - **O6 reliable completion** — a reliable scattering whose sender saw
   completion, from a sender that never failed, is delivered at every
   destination that never failed (requires a drained run: commit barriers
@@ -45,7 +47,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 
-@dataclass(frozen=True)
+# Slotted: an observation holds one of each per message, all at once.
+@dataclass(frozen=True, slots=True)
 class SentMessage:
     """One message of a scattering, as the sender issued it."""
 
@@ -59,7 +62,7 @@ class SentMessage:
     pair_seq: int            # send sequence number within the (src, dst) pair
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delivery:
     """One record of a receiver's delivery trace."""
 
@@ -104,6 +107,7 @@ class Divergence:
     detail: str
     receiver: Optional[int] = None
     index: Optional[int] = None     # position in the delivery trace, if any
+    time: Optional[int] = None      # simulated time of that delivery
     seed: Optional[int] = None      # replay coordinates, stamped by the runner
     episode: Optional[int] = None
     mode: Optional[str] = None
@@ -141,6 +145,33 @@ class AttackInfo:
 
     def targets(self, kind: str) -> List[str]:
         return [t for k, t in self.adversaries if k == kind]
+
+
+def failure_cutoff_strict(observation: EpisodeObservation) -> List[Divergence]:
+    """The strict reading of the §5.2 failure cutoff: no reliable message
+    from a failed process is delivered at or beyond its failure
+    timestamp, whenever the delivery happened.
+
+    Unlike O5 it does not exempt deliveries made before the receiver's
+    discard notice, so it is red on some traces the restricted atomicity
+    of §5.2 allows (docs/TESTING.md has the measured cases).  The chaos
+    monitor runs it as its I6; :meth:`ReferenceOracle.check` does not.
+    """
+    out: List[Divergence] = []
+    cutoffs = observation.failure_cutoffs
+    for receiver in sorted(observation.deliveries):
+        for index, delivery in enumerate(observation.deliveries[receiver]):
+            cutoff = cutoffs.get(delivery.src)
+            if cutoff is None or not delivery.reliable or delivery.ts < cutoff:
+                continue
+            out.append(Divergence(
+                "failure_cutoff_strict",
+                f"receiver {receiver} delivered reliable message "
+                f"ts={delivery.ts} from failed process {delivery.src} "
+                f"(failure ts {cutoff})",
+                receiver=receiver, index=index, time=delivery.time,
+            ))
+    return out
 
 
 class ReferenceOracle:
@@ -259,7 +290,7 @@ class ReferenceOracle:
                         f"sent {sent.payload!r} — §2.1 integrity (O3): "
                         f"every receiver of a scattering sees the "
                         f"sender's single message",
-                        receiver=receiver, index=index,
+                        receiver=receiver, index=index, time=delivery.time,
                     ))
                 else:
                     out.append(Divergence(
@@ -268,7 +299,7 @@ class ReferenceOracle:
                         f"msg_id={delivery.msg_id} "
                         f"(ts={delivery.ts}, src={delivery.src}) that does "
                         f"not match any send",
-                        receiver=receiver, index=index,
+                        receiver=receiver, index=index, time=delivery.time,
                     ))
                 continue
             if delivery.msg_id in seen:
@@ -276,7 +307,7 @@ class ReferenceOracle:
                     "duplicate",
                     f"receiver {receiver} delivered msg_id={delivery.msg_id} "
                     f"twice",
-                    receiver=receiver, index=index,
+                    receiver=receiver, index=index, time=delivery.time,
                 ))
                 continue
             seen.add(delivery.msg_id)
@@ -293,7 +324,7 @@ class ReferenceOracle:
                     f"msg_id={delivery.msg_id} ts={sent.ts} from failed "
                     f"process {sent.src} after being told at t="
                     f"{notice[0]} to discard from ts {notice[1]}",
-                    receiver=receiver, index=index,
+                    receiver=receiver, index=index, time=delivery.time,
                 ))
             # O4: per-pair FIFO in send order.
             last = pair_pos.get(sent.src)
@@ -302,7 +333,7 @@ class ReferenceOracle:
                     "pair_fifo",
                     f"receiver {receiver} delivered send #{sent.pair_seq} "
                     f"of pair ({sent.src}->{receiver}) after send #{last}",
-                    receiver=receiver, index=index,
+                    receiver=receiver, index=index, time=delivery.time,
                 ))
             else:
                 pair_pos[sent.src] = sent.pair_seq
@@ -317,7 +348,7 @@ class ReferenceOracle:
                     f"msg_id={actual.msg_id} key={actual.key()} but the "
                     f"unique legal order puts msg_id={legal.msg_id} "
                     f"key={legal.key()} there",
-                    receiver=receiver, index=position,
+                    receiver=receiver, index=position, time=actual.time,
                 ))
                 break  # later positions are all shifted; report the first
         return out

@@ -22,30 +22,8 @@ from repro.verify.episodes import (
     generate_episode,
     replay_episode,
 )
-from repro.verify.oracle import AttackInfo, Divergence, ReferenceOracle
+from repro.verify.oracle import Divergence, ReferenceOracle
 from repro.verify.shrink import shrink_episode
-
-def attack_info(spec: EpisodeSpec) -> Optional[AttackInfo]:
-    """Derive the oracle's attack-mode input from a spec's fault list.
-
-    Returns None for specs without adversarial (``byz_*``) faults, so
-    plain episodes check exactly as before this mode existed.
-    """
-    from repro.byz.monitor import ADVERSARY_CLAUSES, _EVICTION_CAPABLE
-
-    adversaries = [
-        (event.kind, event.target)
-        for event in spec.faults
-        if event.kind in ADVERSARY_CLAUSES
-    ]
-    if not adversaries:
-        return None
-    return AttackInfo(
-        adversaries=adversaries,
-        eviction_capable_faults=any(
-            event.kind in _EVICTION_CAPABLE for event in spec.faults
-        ),
-    )
 
 
 def check_episode(
@@ -60,8 +38,12 @@ def check_episode(
     no extra flags.  Every divergence is stamped with the spec's replay
     coordinates so a report line alone is enough to reproduce it.
     """
+    from repro.byz.monitor import attack_info
+
     run = replay_episode(spec, mutate=mutate, metrics=metrics)
-    divergences = ReferenceOracle(run.observation, attack=attack_info(spec)).check()
+    divergences = ReferenceOracle(
+        run.observation, attack=attack_info(spec.faults)
+    ).check()
     for divergence in divergences:
         divergence.seed = spec.seed
         divergence.episode = spec.episode

@@ -26,7 +26,7 @@ backoff history).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.apps.workloads import YcsbZipfKeys
 from repro.onepipe.admission import ADMITTED, DEFERRED, REJECTED, AdmissionConfig
@@ -58,17 +58,16 @@ WORKLOAD_LAG_BOUNDS_NS: Tuple[int, ...] = (
 # App adapters: a uniform issue() surface over repro.apps
 # ----------------------------------------------------------------------
 class RawTraffic:
-    """Plain 1Pipe scatterings — the adapter the saturation-grade oracle
-    tests use, because it exposes the ``(SendOp, Scattering)`` records
-    :func:`repro.verify.episodes.extract_observation` needs."""
+    """Plain 1Pipe scatterings, one message each — the adapter the
+    saturation-grade oracle tests use, because nothing but the ordering
+    layer stands between the load and the delivery trace."""
 
     name = "raw"
 
-    def __init__(self, cluster: OnePipeCluster, record: bool = False) -> None:
+    def __init__(self, cluster: OnePipeCluster) -> None:
         self.cluster = cluster
         self.sim = cluster.sim
         self.client_procs = list(range(cluster.n_processes))
-        self.records: Optional[List[tuple]] = [] if record else None
         self.wait_queue_full = 0
 
     def issue(self, proc: int, key: int, write: bool, tag: str) -> Future:
@@ -85,14 +84,6 @@ class RawTraffic:
             self.wait_queue_full += 1
             done.try_resolve(False)
             return done
-        if self.records is not None:
-            from repro.verify.episodes import SendOp
-
-            self.records.append((
-                SendOp(at=self.sim.now, src=proc, reliable=write,
-                       entries=((dst, tag),)),
-                scattering,
-            ))
         scattering.completed.add_callback(
             lambda f: done.try_resolve(f.value)
         )
@@ -165,11 +156,9 @@ APPS = {
 }
 
 
-def build_app(name: str, cluster: OnePipeCluster, record: bool = False):
+def build_app(name: str, cluster: OnePipeCluster):
     if name not in APPS:
         raise ValueError(f"unknown workload app {name!r} (have {sorted(APPS)})")
-    if name == "raw":
-        return RawTraffic(cluster, record=record)
     return APPS[name](cluster)
 
 

@@ -8,10 +8,11 @@ function of ``(scenario, seed, faults)`` — byte-identical across runs
 and across ``--jobs`` values (the job count never enters the JSON; the
 ``determinism`` CI job ``cmp``'s two runs).
 
-Each shard also audits §2.1 per-sender ordering from the delivery
-trace: the sequence delivered at every receiver must be sorted by the
-total-order key ``(ts, src, msg_id)``.  ``report["ok"]`` requires zero
-violations in every shard.
+Each shard also audits the §2.1 delivery contract: an
+:class:`repro.chaos.monitor.InvariantMonitor` records the shard's
+traffic and the reference oracle judges it (total order, at-most-once,
+no fabrication, per-pair FIFO, failure cutoffs, reliable completion).
+``report["ok"]`` requires zero violations in every shard.
 """
 
 from __future__ import annotations
@@ -38,8 +39,9 @@ def run_shard(
     keep_run: bool = False,
 ):
     """Execute one shard; returns its report dict (and, with
-    ``keep_run``, the live engine/cluster/records for test inspection).
+    ``keep_run``, the live engine/cluster for test inspection).
     """
+    from repro.chaos.monitor import InvariantMonitor
     from repro.chaos.schedule import ChaosInjector, ChaosSchedule
     from repro.net.topology import build_episode_topology
     from repro.onepipe import OnePipeCluster
@@ -49,9 +51,7 @@ def run_shard(
     shard_seed = episode_seed(seed, shard)
     sim = Simulator(seed=shard_seed)
     sim.metrics.enabled = True
-    if check_ordering or keep_run:
-        sim.tracer.enabled = True
-        sim.tracer.limit = TRACE_LIMIT
+    sim.tracer.limit = TRACE_LIMIT
 
     topology = build_episode_topology(sim, scenario.scale)
     cluster = OnePipeCluster(
@@ -67,7 +67,9 @@ def run_shard(
             n_faults=faults,
         )
         ChaosInjector(cluster).apply(schedule)
-    app = build_app(scenario.app, cluster, record=keep_run)
+    # Attached before the app, so every send the app issues is recorded.
+    monitor = InvariantMonitor(cluster) if check_ordering else None
+    app = build_app(scenario.app, cluster)
     engine = WorkloadEngine(
         cluster,
         scenario.tenants,
@@ -85,8 +87,9 @@ def run_shard(
 
     ordering = {"checked": bool(check_ordering), "violations": 0,
                 "deliveries": 0}
-    if check_ordering:
-        ordering.update(_check_ordering(sim, scenario.n_processes))
+    if monitor is not None:
+        ordering["violations"] = len(monitor.final_check())
+        ordering["deliveries"] = monitor.total_delivered()
 
     report = _shard_report(scenario, engine, shard, shard_seed, ordering)
     if keep_run:
@@ -94,29 +97,6 @@ def run_shard(
             "sim": sim, "cluster": cluster, "engine": engine, "app": app,
         }
     return report
-
-
-def _check_ordering(sim, n_processes: int) -> Dict[str, int]:
-    """Count adjacent total-order inversions in each receiver's
-    delivered sequence (O1: delivery order == (ts, src, msg_id) order).
-    """
-    sequences: Dict[int, List[tuple]] = {i: [] for i in range(n_processes)}
-    for _time, component, event, fields in sim.tracer.records:
-        if event != "deliver" or not component.startswith("recv."):
-            continue
-        receiver = int(component[5:])
-        if receiver in sequences:
-            sequences[receiver].append(
-                (fields["ts"], fields["src"], fields["msg_id"])
-            )
-    violations = 0
-    deliveries = 0
-    for sequence in sequences.values():
-        deliveries += len(sequence)
-        for earlier, later in zip(sequence, sequence[1:]):
-            if earlier > later:
-                violations += 1
-    return {"violations": violations, "deliveries": deliveries}
 
 
 def _shard_report(

@@ -138,7 +138,7 @@ class TestDedupAndLateness:
         assert delivered[0][3] is True
 
     def test_merged_order_be_blocked_behind_uncommitted_reliable(self, rig):
-        """strict_merge: a best-effort message must not overtake an
+        """Merged order: a best-effort message must not overtake an
         uncommitted reliable message with a smaller timestamp."""
         sim, receiver, delivered = rig
         receiver.on_data_packet(
@@ -299,7 +299,7 @@ class TestBufferAccounting:
 
 
 class TestStrictMergeGate:
-    """Best-effort delivery must also wait for the commit barrier when
+    """Best-effort delivery must also wait for the commit barrier, since
     the two services present one merged total order: a reliable message
     lost on a gray link and still retransmitting is invisible to the
     reorder buffer, and only the commit barrier proves nothing reliable
@@ -312,16 +312,3 @@ class TestStrictMergeGate:
         assert delivered == []  # a reliable msg below 200 may still come
         receiver.flush(be_barrier=300, commit_barrier=250)
         assert [(ts, r) for ts, _s, _p, r in delivered] == [(200, False)]
-
-    def test_independent_planes_skip_the_gate(self):
-        sim = Simulator(seed=2)
-        agent = _StubAgent(sim)
-        config = OnePipeConfig(cpu_ns_per_msg=0, strict_merge=False)
-        receiver = ProcessReceiver(agent, proc_id=1, config=config)
-        delivered = []
-        receiver.deliver_callback = (
-            lambda ts, src, payload, reliable: delivered.append(ts)
-        )
-        receiver.on_data_packet(data_packet(ts=200))
-        receiver.flush(be_barrier=300, commit_barrier=150)
-        assert delivered == [200]

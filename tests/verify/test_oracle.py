@@ -12,6 +12,7 @@ from repro.verify.oracle import (
     EpisodeObservation,
     ReferenceOracle,
     SentMessage,
+    failure_cutoff_strict,
 )
 
 
@@ -145,6 +146,25 @@ def test_cutoff_allows_messages_below_failure_ts():
         notices={2: [(500, 0, 150)]},
     )
     assert ReferenceOracle(obs).check() == []
+
+
+def test_strict_cutoff_flags_what_restricted_atomicity_allows():
+    # Proc 0 failed at ts 150; its reliable message at ts 200 reached
+    # receiver 2 at t=400, before the t=500 discard notice.  O5 allows
+    # it (§5.2 restricted atomicity); the strict rule does not.
+    below = sent(1, src=0, dst=2, ts=100, reliable=True)
+    late = sent(2, src=0, dst=2, ts=200, reliable=True, pair_seq=1)
+    obs = observation(
+        [below, late],
+        {2: [delivery(below, time=300), delivery(late, time=400)]},
+        cutoffs={0: 150}, failed={0},
+        notices={2: [(500, 0, 150)]},
+    )
+    assert ReferenceOracle(obs).check() == []
+    strict = failure_cutoff_strict(obs)
+    assert [(d.kind, d.receiver, d.index, d.time) for d in strict] == [
+        ("failure_cutoff_strict", 2, 1, 400)
+    ]
 
 
 def test_reliable_missing_detected():

@@ -1,12 +1,12 @@
 """Saturation-grade conformance: the §2.1 oracle at >90% utilization.
 
 The verify fuzzer exercises sparse, hand-sized episodes; these tests
-re-run the overload scenarios in raw mode (plain scatterings, so the
-engine exposes the ``(SendOp, Scattering)`` records the oracle needs)
-and check the *reference* semantics under sustained admission-control
-pressure: O1 per-sender ordering, exactly-once for the reliable
-service, and — with chaos faults composed in — O5/O6 failure
-atomicity/notification.  Each scenario variant also runs on the
+re-run the overload scenarios in raw mode (plain scatterings, so nothing
+but the ordering layer stands between load and trace) and check, through
+each shard's invariant monitor, the *reference* semantics under
+sustained admission-control pressure: O1 per-sender ordering,
+exactly-once for the reliable service, and — with chaos faults composed
+in — O5/O6 failure atomicity/notification.  Each scenario variant also runs on the
 packet-beacon reference (``tests/reference.py``), which must be
 report-byte-identical.
 """
@@ -14,8 +14,6 @@ report-byte-identical.
 import pytest
 
 from repro.obs.export import dumps_stable
-from repro.verify.episodes import extract_observation
-from repro.verify.oracle import ReferenceOracle
 from repro.workload.runner import run_shard
 from repro.workload.scenarios import get_scenario
 from tests.reference import PacketBeacons, on_packet_beacons
@@ -55,19 +53,17 @@ def run_raw(name, *, faults=0):
 @pytest.mark.parametrize("name", SCENARIOS)
 def test_oracle_clean_at_saturation(name):
     scenario, (report, run) = run_raw(name)
-    observation = extract_observation(
-        run["sim"], run["cluster"], run["app"].records
-    )
-    assert observation.sends  # traffic actually flowed
-    divergences = ReferenceOracle(observation).check()
-    assert divergences == []
+    # The shard's monitor handed its records to the reference oracle;
+    # the report's ordering block is that verdict.
+    assert report["ordering"]["checked"]
+    assert report["ordering"]["deliveries"] > 0  # traffic actually flowed
+    assert report["ordering"]["violations"] == 0
     # This is a *saturation* test: at least one client host must have
     # been busy >90% of the traffic window, or the scenario degenerated.
     busiest = max(
         agent["busy_fraction"] for agent in report["utilization"].values()
     )
     assert busiest > 0.9
-    assert report["ordering"]["violations"] == 0
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -78,10 +74,7 @@ def test_oracle_clean_at_saturation_packet_beacons(name):
     _, (packet_report, run) = on_packet_beacons(run_raw, name)
     assert isinstance(run["cluster"].fabric, PacketBeacons)
     assert dumps_stable(packet_report) == dumps_stable(fabric_report)
-    observation = extract_observation(
-        run["sim"], run["cluster"], run["app"].records
-    )
-    assert ReferenceOracle(observation).check() == []
+    assert packet_report["ordering"]["violations"] == 0
 
 
 def test_oracle_clean_under_saturation_with_faults():
@@ -90,16 +83,12 @@ def test_oracle_clean_under_saturation_with_faults():
     an announced failure, never silently lost, and delivered prefixes
     stay atomic per scattering."""
     scenario, (report, run) = run_raw("hotspot", faults=3)
-    observation = extract_observation(
-        run["sim"], run["cluster"], run["app"].records
-    )
-    divergences = ReferenceOracle(observation).check()
-    assert divergences == []
+    assert report["ordering"]["deliveries"] > 0
     assert report["ordering"]["violations"] == 0
 
 
 def test_shard_reports_deterministic_with_keep_run():
-    """``keep_run`` (tracer retained) must not perturb the report."""
+    """``keep_run`` (the run retained) must not perturb the report."""
     scenario = get_scenario("hotspot").with_app("raw")
     report_a, _run = run_shard(scenario, 1, 0, keep_run=True)
     report_b = run_shard(scenario, 1, 0)
