@@ -209,14 +209,3 @@ def check_contract(
                 )
 
     return violations
-
-
-def stability_lag_rounds(
-    delivered_ns: Sequence[int], sent_ns: Sequence[int], round_interval_ns: int
-) -> int:
-    """Worst observed send-to-delivery lag, in gossip rounds (EpTO's
-    stability metric: order is only final once the TTL bound passes)."""
-    if not delivered_ns or not sent_ns or round_interval_ns <= 0:
-        return 0
-    worst = max(d - s for d, s in zip(delivered_ns, sent_ns))
-    return -(-worst // round_interval_ns)

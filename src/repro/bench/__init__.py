@@ -3,7 +3,6 @@
 from repro.bench.harness import (
     LatencyProbe,
     Series,
-    closed_loop,
     print_table,
     save_results,
 )
@@ -11,7 +10,6 @@ from repro.bench.harness import (
 __all__ = [
     "LatencyProbe",
     "Series",
-    "closed_loop",
     "print_table",
     "save_results",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.sim import Simulator
 from repro.sim.stats import Histogram
@@ -112,32 +112,3 @@ class LatencyProbe:
         histogram = Histogram()
         histogram.extend(self.latencies)
         return histogram.percentile(p) / 1000
-
-
-def closed_loop(
-    sim: Simulator,
-    issue: Callable[[Callable], None],
-    n_clients_slots: int,
-    until_ns: int,
-    counter: Optional[list] = None,
-) -> list:
-    """Run ``n_clients_slots`` concurrent closed-loop request slots.
-
-    ``issue(on_done)`` must start one request and call ``on_done()``
-    when it completes; the harness immediately issues the next one until
-    ``until_ns``.  Returns a single-element list with the completion
-    count (mutated live, so callers can inspect it mid-run).
-    """
-    completed = counter if counter is not None else [0]
-
-    def slot():
-        def on_done(*_args) -> None:
-            completed[0] += 1
-            if sim.now < until_ns:
-                issue(on_done)
-
-        issue(on_done)
-
-    for _ in range(n_clients_slots):
-        sim.schedule(10_000, slot)
-    return completed

@@ -412,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--episodes", type=int, default=10)
     verify.add_argument("--faults", type=int, default=3,
                         help="faults injected per episode")
-    verify.add_argument("--mode", "--incarnation", default="all",
+    verify.add_argument("--mode", default="all",
                         choices=("all",) + ALL_MODES)
     verify.add_argument("--scale", default="small", choices=EPISODE_SCALES,
                         help="episode topology (small: 8-host fat-tree)")

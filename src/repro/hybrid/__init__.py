@@ -30,7 +30,6 @@ from repro.hybrid.engine import (
     HyperscaleScenario,
     SCENARIOS,
     run_hyperscale,
-    run_packet_reference,
 )
 from repro.hybrid.fidelity import FIDELITY_COLD, FIDELITY_HOT, FidelityMap
 
@@ -41,5 +40,4 @@ __all__ = [
     "HyperscaleScenario",
     "SCENARIOS",
     "run_hyperscale",
-    "run_packet_reference",
 ]

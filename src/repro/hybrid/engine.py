@@ -393,21 +393,3 @@ def run_hyperscale(
         "cold": cold_report,
         "island": island,
     }
-
-
-def run_packet_reference(scenario: HyperscaleScenario) -> Dict[str, Any]:
-    """Full packet-level run of the scenario's *entire* topology, with
-    the same watched endpoints and traffic — the accuracy baseline the
-    hybrid island is compared against.  For an all-hot scenario this is
-    the very same code path :func:`run_hyperscale` takes."""
-    descriptor = scenario.descriptor()
-    window_ns = descriptor.cross_pod_lookahead_ns
-    horizon_ns = scenario.windows * window_ns
-    return _run_island(
-        scenario,
-        descriptor,
-        n_island_pods=descriptor.n_pods,
-        window_ns=window_ns,
-        horizon_ns=horizon_ns,
-        core_schedule=None,
-    )

@@ -29,12 +29,11 @@ from repro.net.link import Link
 from repro.net.nic import Host
 from repro.net.packet import Packet, PacketKind
 from repro.net.rpc import Directory, Messenger, RpcEndpoint, RpcTimeout
-from repro.net.switch import Node, PacketTap, Switch
+from repro.net.switch import Node, Switch
 from repro.net.topology import (
     Topology,
     TopologyParams,
     build_fat_tree,
-    build_single_rack,
     build_testbed,
 )
 from repro.net.transport import BackgroundFlow, DctcpState, SendWindow, TransportParams
@@ -50,7 +49,6 @@ __all__ = [
     "Node",
     "Packet",
     "PacketKind",
-    "PacketTap",
     "RpcEndpoint",
     "RpcTimeout",
     "SendWindow",
@@ -59,6 +57,5 @@ __all__ = [
     "TopologyParams",
     "TransportParams",
     "build_fat_tree",
-    "build_single_rack",
     "build_testbed",
 ]

@@ -28,8 +28,6 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from repro.net.packet import BEACON_BYTES
-
 # Congestion coefficient δ: how much concurrent flows on a shared link
 # class hurt each other beyond the fair share (the fat-tree value, which
 # reflects its full bisection bandwidth).
@@ -126,8 +124,3 @@ def idle_wave_latency_ns(links: Iterable, forwarding_delay_ns: int = 0) -> int:
     if count > 1:
         total += (count - 1) * int(forwarding_delay_ns)
     return total
-
-
-def beacon_wire_ns(bandwidth_gbps: float) -> int:
-    """Idle serialization time of one beacon at ``bandwidth_gbps``."""
-    return int(BEACON_BYTES / (bandwidth_gbps / 8.0))

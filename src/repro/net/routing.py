@@ -68,15 +68,6 @@ def _switch_dag(topology: Topology, exclude_links=frozenset()):
     return successors, predecessors, downlinks
 
 
-def check_switch_dag(topology: Topology) -> None:
-    """Verify the switch-to-switch subgraph is acyclic.
-
-    Cycles through hosts are fine (hosts never forward); a cycle among
-    switches would break both forwarding and barrier aggregation.
-    """
-    _switch_dag(topology)
-
-
 def _reverse_bfs_distances(
     predecessors: Dict[str, List[str]], attached: Iterable[str]
 ) -> Dict[str, int]:

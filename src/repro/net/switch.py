@@ -16,7 +16,7 @@ switch with no engine is a plain DCN switch (used by baselines).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
@@ -206,20 +206,3 @@ class Switch(Node):
         if self.failed:
             return
         link.send(packet)
-
-
-class PacketTap:
-    """Test/diagnostic helper: wraps a node's receive to observe packets."""
-
-    def __init__(self, node: Node) -> None:
-        self.node = node
-        self.packets: List[Packet] = []
-        self._original: Callable = node.receive
-        node.receive = self._receive  # type: ignore[method-assign]
-
-    def _receive(self, packet: Packet, in_link: Link) -> None:
-        self.packets.append(packet)
-        self._original(packet, in_link)
-
-    def detach(self) -> None:
-        self.node.receive = self._original  # type: ignore[method-assign]

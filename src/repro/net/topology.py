@@ -15,7 +15,7 @@ and larger counts stack processes per host evenly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.clock import ClockSyncService, SkewModel
 from repro.net.link import Link, gbps_to_bytes_per_ns
@@ -456,20 +456,3 @@ def build_episode_topology(sim: Simulator, scale: str) -> Topology:
     raise ValueError(
         f"unknown scale {scale!r}, expected one of {EPISODE_SCALES}"
     )
-
-
-def build_single_rack(
-    sim: Simulator, n_hosts: int = 8, **overrides
-) -> Tuple[Topology, List[Host]]:
-    """A one-ToR topology for focused unit tests."""
-    params = TopologyParams(
-        n_pods=1,
-        tors_per_pod=1,
-        spines_per_pod=1,
-        n_cores=1,
-        hosts_per_tor=n_hosts,
-    )
-    if overrides:
-        params = replace(params, **overrides)
-    topo = build_fat_tree(sim, params)
-    return topo, topo.hosts

@@ -153,12 +153,11 @@ def write_json(obj: Any, path: str) -> None:
     if directory:
         os.makedirs(directory, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_stable(obj))
 
 
 def dumps_stable(obj: Any) -> str:
-    """The exact bytes :func:`write_json` would produce (for cmp tests)."""
+    """The exact bytes :func:`write_json` writes."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 

@@ -92,8 +92,8 @@ Fidelity contract: delivery traces, oracle verdicts, barrier/cascade
 timing, RNG streams, liveness state, and beacon/packet counters are
 byte-identical to sending one packet per beacon per hop (the reference
 transport in ``tests/reference.py``); only
-``Simulator.events_processed`` (fewer scheduler events) and PacketTap
-captures (no packets to tap) differ.
+``Simulator.events_processed`` (fewer scheduler events) and packet
+captures at a node (no packets to capture) differ.
 """
 
 from __future__ import annotations

@@ -82,25 +82,6 @@ def _send_and_receive_ok(
     return send_ok, recv_ok
 
 
-def alive_nodes(
-    topology: Topology, dead_links: Set[Link], roots: Iterable[str]
-) -> Set[str]:
-    """Nodes that can both send to and receive from the root layer."""
-    send_ok, recv_ok = _send_and_receive_ok(topology, dead_links, roots)
-    return send_ok.keys() & recv_ok.keys()
-
-
-def disconnected_hosts(
-    topology: Topology,
-    dead_links: Set[Link],
-    roots: Iterable[str],
-    host_ids: Iterable[str],
-) -> Set[str]:
-    """Hosts separated from the controller's roots (§5.2 Determine)."""
-    alive = alive_nodes(topology, dead_links, roots)
-    return {host_id for host_id in host_ids if host_id not in alive}
-
-
 def failure_timestamp(region: Set[str], reports: List[DeadLinkReport]) -> int:
     """Failure timestamp for a failed region: the maximum last-commit
     barrier over reports whose dead link originates inside the region

@@ -12,34 +12,30 @@ provides:
 - :class:`~repro.sim.randomness.RngStreams` — named, independently seeded
   random streams so that adding a new random consumer never perturbs the
   draws of existing ones.
-- :mod:`~repro.sim.stats` — histograms, percentile summaries, counters and
-  time series used by the benchmark harness.
+- :mod:`~repro.sim.stats` — histograms, percentile summaries and time
+  series used by the runners and the benchmark harness.
 
 All simulated time is expressed in integer nanoseconds.
 """
 
 from repro.sim.events import EventHandle
-from repro.sim.process import Future, Process, ProcessKilled, all_of, any_of, sim_sleep
+from repro.sim.process import Future, Process, all_of, sim_sleep
 from repro.sim.randomness import RngStreams
 from repro.sim.simulator import PeriodicTask, SimulationError, Simulator
-from repro.sim.stats import Counter, Histogram, TimeSeries, WindowedRate
+from repro.sim.stats import Histogram, TimeSeries
 from repro.sim.trace import Tracer
 
 __all__ = [
-    "Counter",
     "EventHandle",
     "Future",
     "Histogram",
     "PeriodicTask",
     "Process",
-    "ProcessKilled",
     "RngStreams",
     "SimulationError",
     "Simulator",
     "TimeSeries",
     "Tracer",
-    "WindowedRate",
     "all_of",
-    "any_of",
     "sim_sleep",
 ]

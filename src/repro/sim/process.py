@@ -6,8 +6,7 @@ Python generator that yields awaitables:
 
 - ``yield sim_sleep(sim, delay)`` — suspend for simulated time;
 - ``yield future`` — suspend until the future resolves, receiving its value;
-- ``yield all_of(f1, f2, ...)`` — wait for every future;
-- ``yield any_of(f1, f2, ...)`` — wait for the first future.
+- ``yield all_of(f1, f2, ...)`` — wait for every future.
 
 Example
 -------
@@ -119,25 +118,6 @@ def all_of(futures: Iterable[Future]) -> Future:
     return combined
 
 
-def any_of(futures: Iterable[Future]) -> Future:
-    """A future resolving with ``(index, value)`` of the first input future
-    to resolve."""
-    futures = list(futures)
-    if not futures:
-        raise ValueError("any_of requires at least one future")
-    combined = Future(futures[0].sim)
-    for index, future in enumerate(futures):
-        future.add_callback(
-            lambda f, i=index: combined.try_resolve((i, f.value))
-        )
-    return combined
-
-
-class ProcessKilled(Exception):
-    """Injected into a process generator when :meth:`Process.kill` is
-    called, so ``finally`` blocks run at the point of suspension."""
-
-
 class Process:
     """Drives a generator, advancing it whenever its awaited future
     resolves.
@@ -160,21 +140,7 @@ class Process:
     def alive(self) -> bool:
         return self._alive
 
-    def kill(self) -> None:
-        """Terminate the process by raising ProcessKilled inside it."""
-        if not self._alive:
-            return
-        self._alive = False
-        try:
-            self._generator.throw(ProcessKilled())
-        except (ProcessKilled, StopIteration):
-            pass
-        if not self.result.done:
-            self.result.fail(ProcessKilled())
-
     def _advance(self, value: Any, exception: Optional[BaseException]) -> None:
-        if not self._alive:
-            return
         try:
             if exception is not None:
                 awaited = self._generator.throw(exception)
@@ -183,11 +149,6 @@ class Process:
         except StopIteration as stop:
             self._alive = False
             self.result.try_resolve(stop.value)
-            return
-        except ProcessKilled:
-            self._alive = False
-            if not self.result.done:
-                self.result.fail(ProcessKilled())
             return
         except Exception as exc:
             self._alive = False

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import gc
 import heapq
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from repro.obs.registry import MetricsRegistry
 from repro.sim.events import EventHandle
@@ -547,9 +547,3 @@ class PeriodicTask:
             self._group.tasks.remove(self)
             if not self._group.tasks:
                 self._group.handle.cancel()
-
-
-def exhaust(iterator: Iterator[Any]) -> None:
-    """Drain an iterator for its side effects (explicit, per style guide)."""
-    for _ in iterator:
-        pass

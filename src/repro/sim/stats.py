@@ -1,19 +1,20 @@
-"""Measurement primitives used by tests and the benchmark harness.
+"""Measurement primitives used by the runners and the benchmark harness.
 
 These are intentionally simple, allocation-light collectors:
 
+- :func:`nearest_rank` — the one nearest-rank percentile rule.
 - :class:`Histogram` — keeps raw samples; mean/std/percentiles on demand.
-- :class:`Counter` — monotonically increasing named counters with rates.
-- :class:`TimeSeries` — (time, value) pairs, e.g. queue depth over time.
-- :class:`WindowedRate` — events per second over a sliding measurement
-  window, used for throughput numbers quoted "at steady state".
+- :class:`TimeSeries` — (time, value) pairs, the per-metric series of
+  :class:`repro.obs.sampler.Sampler`.
+
+Components count through :mod:`repro.obs.registry`, not here.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 
 def nearest_rank(p: float, n: int) -> int:
@@ -113,28 +114,6 @@ class Histogram:
         }
 
 
-class Counter:
-    """A bag of named monotonically increasing counters."""
-
-    def __init__(self) -> None:
-        self._counts: Dict[str, int] = {}
-
-    def incr(self, name: str, amount: int = 1) -> None:
-        self._counts[name] = self._counts.get(name, 0) + amount
-
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
-    def as_dict(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def rate(self, name: str, duration_ns: int) -> float:
-        """Events per second over ``duration_ns`` of simulated time."""
-        if duration_ns <= 0:
-            raise ValueError("duration must be positive")
-        return self.get(name) * 1e9 / duration_ns
-
-
 class TimeSeries:
     """(time, value) samples, e.g. for buffer occupancy over time."""
 
@@ -157,40 +136,3 @@ class TimeSeries:
         if not self._values:
             raise ValueError("empty time series")
         return max(self._values)
-
-    def last_value(self) -> Optional[float]:
-        return self._values[-1] if self._values else None
-
-    def time_average(self) -> float:
-        """Time-weighted average assuming step interpolation."""
-        if len(self._times) < 2:
-            raise ValueError("need at least two points")
-        total = 0.0
-        for i in range(len(self._times) - 1):
-            total += self._values[i] * (self._times[i + 1] - self._times[i])
-        span = self._times[-1] - self._times[0]
-        if span <= 0:
-            raise ValueError("zero time span")
-        return total / span
-
-
-class WindowedRate:
-    """Counts events after a warmup instant; yields steady-state rates.
-
-    Benchmarks warm the system up, then measure over a window so transient
-    startup effects do not pollute throughput numbers.
-    """
-
-    def __init__(self, start_ns: int) -> None:
-        self.start_ns = start_ns
-        self.count = 0
-
-    def record(self, time_ns: int, amount: int = 1) -> None:
-        if time_ns >= self.start_ns:
-            self.count += amount
-
-    def per_second(self, end_ns: int) -> float:
-        window = end_ns - self.start_ns
-        if window <= 0:
-            raise ValueError("measurement window has not started")
-        return self.count * 1e9 / window

@@ -3,7 +3,9 @@
 Tracing is off by default and costs one attribute check per call when
 disabled.  When enabled, every ``trace()`` call appends a
 ``(time, component, event, fields)`` tuple which tests can assert on,
-developers can dump, and the protocol verification harness
+developers can print (:meth:`Tracer.dump`), the Perfetto exporter
+(:func:`repro.obs.export.build_chrome_trace`) reads from
+:attr:`Tracer.records`, and the protocol verification harness
 (:mod:`repro.verify`) consumes as the ground-truth delivery trace.
 
 When a ``limit`` is set, records past the limit are counted in
@@ -15,13 +17,9 @@ before trusting the records.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Tuple
 
 TraceRecord = Tuple[int, str, str, Dict[str, Any]]
-
-# Header line schema for JSONL trace dumps (see Tracer.to_jsonl).
-TRACE_JSONL_SCHEMA = "repro.sim.trace/1"
 
 
 class Tracer:
@@ -60,69 +58,6 @@ class Tracer:
     def clear(self) -> None:
         self.records.clear()
         self.dropped = 0
-
-    # ------------------------------------------------------------------
-    # JSONL serialization (consumed by the trace exporter, repro.obs).
-    # ------------------------------------------------------------------
-    def to_jsonl(self) -> str:
-        """Serialize to JSONL: one header line, then one line per record.
-
-        The header carries ``limit``/``dropped``/``enabled`` so
-        :meth:`from_jsonl` reconstructs :attr:`overflowed` exactly.
-        Record fields pass through JSON, so non-JSON values must already
-        be serializable (tracer call sites only log scalars/strings);
-        tuples come back as lists.
-        """
-        lines = [
-            json.dumps(
-                {
-                    "schema": TRACE_JSONL_SCHEMA,
-                    "limit": self.limit,
-                    "dropped": self.dropped,
-                    "enabled": self.enabled,
-                    "records": len(self.records),
-                },
-                sort_keys=True,
-            )
-        ]
-        for time, component, event, fields in self.records:
-            lines.append(
-                json.dumps([time, component, event, fields], sort_keys=True)
-            )
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "Tracer":
-        """Reconstruct a tracer from :meth:`to_jsonl` output."""
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise ValueError("empty trace dump")
-        header = json.loads(lines[0])
-        if not isinstance(header, dict) or header.get("schema") != TRACE_JSONL_SCHEMA:
-            raise ValueError(f"not a {TRACE_JSONL_SCHEMA} dump: {lines[0][:80]!r}")
-        tracer = cls(enabled=bool(header.get("enabled", False)), limit=header.get("limit"))
-        tracer.dropped = int(header.get("dropped", 0))
-        expected = header.get("records")
-        for line in lines[1:]:
-            time, component, event, fields = json.loads(line)
-            tracer.records.append((int(time), component, event, fields))
-        if expected is not None and expected != len(tracer.records):
-            raise ValueError(
-                f"truncated trace dump: header says {expected} records, "
-                f"got {len(tracer.records)}"
-            )
-        return tracer
-
-    def dump_jsonl(self, path: str) -> None:
-        """Write :meth:`to_jsonl` output to ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
-
-    @classmethod
-    def load_jsonl(cls, path: str) -> "Tracer":
-        """Read a tracer back from a :meth:`dump_jsonl` file."""
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_jsonl(fh.read())
 
     def dump(self) -> str:  # pragma: no cover - debugging aid
         lines = []

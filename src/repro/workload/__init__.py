@@ -14,16 +14,12 @@ Entry points:
   (hotspot tenant, flash crowd, retry storm);
 - :mod:`repro.workload.runner` — deterministic scenario execution and
   JSON reports (``python -m repro.cli workload``);
-- :mod:`repro.workload.generators` — the arrival/popularity primitives.
+- :mod:`repro.workload.generators` — the arrival primitives.
 
 See docs/WORKLOADS.md.
 """
 
-from repro.workload.generators import (
-    OpenLoopArrivals,
-    RateCurve,
-    ZipfGenerator,
-)
+from repro.workload.generators import OpenLoopArrivals, RateCurve
 from repro.workload.tenants import RATE_CLASSES, RateClass, TenantSpec
 from repro.workload.scenarios import SCENARIOS, ScenarioSpec, get_scenario
 from repro.workload.runner import run_scenario
@@ -36,7 +32,6 @@ __all__ = [
     "SCENARIOS",
     "ScenarioSpec",
     "TenantSpec",
-    "ZipfGenerator",
     "get_scenario",
     "run_scenario",
 ]

@@ -1,16 +1,11 @@
-"""Arrival and popularity primitives for the open-loop engine.
+"""Arrival primitives for the open-loop engine.
 
-Three building blocks, all pure functions of the ``random.Random``
-streams handed to them (callers draw those from
+Two building blocks, pure functions of the ``random.Random`` streams
+handed to them (callers draw those from
 :class:`repro.sim.randomness.RngStreams`, so every draw is attributable
-to a named stream and byte-identical per seed):
+to a named stream and byte-identical per seed).  Key and client
+popularity come from :class:`repro.apps.workloads.YcsbZipfKeys`.
 
-- :class:`ZipfGenerator` — an *exact* bounded Zipf sampler over ``n``
-  ranks via inverse-CDF lookup into the precomputed cumulative mass.
-  Unlike :class:`repro.apps.workloads.YcsbZipfKeys` (the O(1) Gray
-  approximation used for huge key spaces) this one exposes its analytic
-  :meth:`cdf`, which is what the Hypothesis property suite checks the
-  empirical distribution against.
 - :class:`RateCurve` — a piecewise-linear offered-load curve in
   ops/second over simulated nanoseconds, with an exact trapezoid
   integral (:meth:`expected_ops`).  Constructors cover the three shapes
@@ -25,56 +20,12 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Tuple
 
-__all__ = ["OpenLoopArrivals", "RateCurve", "ZipfGenerator"]
+__all__ = ["OpenLoopArrivals", "RateCurve"]
 
 _NS_PER_S = 1_000_000_000
-
-
-class ZipfGenerator:
-    """Exact bounded Zipf(``theta``) over ranks ``0 .. n_items-1``.
-
-    Probability of rank ``k`` is ``(k+1)^-theta / H`` with ``H`` the
-    generalized harmonic number, so rank 0 is the hottest.  Sampling is
-    one uniform draw plus a bisect into the cumulative mass; memory is
-    O(n), so use it for tenant/key populations up to ~10^6 and
-    :class:`repro.apps.workloads.YcsbZipfKeys` beyond that.
-    """
-
-    def __init__(
-        self, rng: random.Random, n_items: int, theta: float = 0.99
-    ) -> None:
-        if n_items < 1:
-            raise ValueError(f"n_items must be >= 1: {n_items}")
-        if theta <= 0:
-            raise ValueError(f"theta must be > 0: {theta}")
-        self.rng = rng
-        self.n_items = n_items
-        self.theta = theta
-        cum: List[float] = []
-        total = 0.0
-        for k in range(n_items):
-            total += (k + 1) ** -theta
-            cum.append(total)
-        self._total = total
-        # Normalized cumulative mass; the final entry is exactly 1.0 so
-        # a uniform draw of 1.0-epsilon still lands in range.
-        self._cum = [c / total for c in cum]
-        self._cum[-1] = 1.0
-
-    def cdf(self, rank: int) -> float:
-        """Analytic P(X <= rank); ``cdf(n_items-1) == 1.0``."""
-        if rank < 0:
-            return 0.0
-        if rank >= self.n_items:
-            return 1.0
-        return self._cum[rank]
-
-    def sample(self) -> int:
-        return bisect_left(self._cum, self.rng.random())
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from repro.baselines.contracts import (
     PROTOCOL_CONTRACTS,
     UNIFORM_TOTAL_ORDER,
     check_contract,
-    stability_lag_rounds,
 )
 
 # Two members, two senders, two messages each, all delivered in the
@@ -103,9 +102,3 @@ def test_every_shootout_protocol_has_a_contract():
     assert set(PROTOCOL_CONTRACTS) == {
         "lamport", "sequencer", "token", "epto", "switchpaxos", "onepipe",
     }
-
-
-def test_stability_lag_rounds():
-    assert stability_lag_rounds([100_000], [0], 25_000) == 4
-    assert stability_lag_rounds([100_001], [0], 25_000) == 5
-    assert stability_lag_rounds([], [], 25_000) == 0

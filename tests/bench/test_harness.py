@@ -6,15 +6,15 @@ import os
 import pytest
 
 import repro.bench
-from repro.bench import LatencyProbe, Series, closed_loop, print_table, save_results
-from repro.sim import Future, Simulator
+from repro.bench import LatencyProbe, Series, print_table, save_results
+from repro.sim import Simulator
 
 
 def test_package_is_exactly_the_figure_harness():
     """Performance numbers come from perf/ (BENCHMARK.json); this
     package only serves the per-figure benchmarks."""
     assert sorted(repro.bench.__all__) == [
-        "LatencyProbe", "Series", "closed_loop", "print_table", "save_results",
+        "LatencyProbe", "Series", "print_table", "save_results",
     ]
 
 
@@ -113,22 +113,3 @@ class TestLatencyProbe:
         probe.latencies = [5000]
         for p in (1, 50, 99):
             assert probe.percentile_us(p) == pytest.approx(5.0)
-
-
-class TestClosedLoop:
-    def test_slots_reissue_until_deadline(self):
-        sim = Simulator()
-        issued = []
-
-        def issue(on_done):
-            issued.append(sim.now)
-            future = Future(sim)
-            future.add_callback(lambda f: on_done())
-            sim.schedule(100, future.try_resolve, True)
-
-        # Slots start at t=10_000 (the harness's warmup instant).
-        counter = closed_loop(sim, issue, n_clients_slots=2, until_ns=15_000)
-        sim.run(until=20_000)
-        # 2 slots x ~50 iterations each inside the 5 us window.
-        assert counter[0] >= 90
-        assert all(t <= 15_100 for t in issued)

@@ -6,12 +6,13 @@ harness injects them and the total-order invariants must still hold.
 
 import pytest
 
-from repro.chaos import InvariantMonitor, Recorder
+from repro.chaos import InvariantMonitor
 from repro.net.link import Link
 from repro.net.packet import HEADER_OVERHEAD_BYTES, Packet, PacketKind
 from repro.net.switch import Node
 from repro.onepipe import OnePipeCluster, OnePipeConfig
 from repro.sim import Simulator
+from tests.onepipe.conftest import Recorder
 
 
 class Sink(Node):

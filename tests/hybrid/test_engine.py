@@ -18,8 +18,9 @@ from dataclasses import replace
 
 import pytest
 
-from repro.hybrid import SCENARIOS, run_hyperscale, run_packet_reference
+from repro.hybrid import SCENARIOS, run_hyperscale
 from repro.obs.export import KNOWN_HYBRID_METRICS, dumps_stable
+from tests.reference import run_packet_reference
 
 # Shortened horizons: the contract is structural, not statistical.
 ALLHOT = replace(SCENARIOS["k8_allhot"], windows=40)

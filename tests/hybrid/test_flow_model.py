@@ -27,6 +27,11 @@ CONCURRENCY = st.integers(min_value=0, max_value=100_000)
 HOSTS = st.integers(min_value=0, max_value=2_000_000)
 
 
+def beacon_wire_ns(bandwidth_gbps: float) -> int:
+    """Idle serialization time of one beacon at ``bandwidth_gbps``."""
+    return int(BEACON_BYTES / (bandwidth_gbps / 8.0))
+
+
 class TestCongestion:
     @given(concurrent=CONCURRENCY, n_hosts=HOSTS)
     def test_at_least_one(self, concurrent, n_hosts):
@@ -174,9 +179,9 @@ class TestClosedFormEqualsEventLevel:
         desc = fat_tree_descriptor(8)
         params = desc.params
         expected = (
-            flow.beacon_wire_ns(params.host_link_gbps)
-            + flow.beacon_wire_ns(params.fabric_link_gbps)
-            + flow.beacon_wire_ns(params.fabric_link_gbps)
+            beacon_wire_ns(params.host_link_gbps)
+            + beacon_wire_ns(params.fabric_link_gbps)
+            + beacon_wire_ns(params.fabric_link_gbps)
             + 3 * params.link_prop_delay_ns
             + 3 * params.forwarding_delay_ns
         )
@@ -185,5 +190,5 @@ class TestClosedFormEqualsEventLevel:
     def test_beacon_wire_matches_link_precompute(self):
         sim = Simulator(seed=1)
         link, _ = _beacon_link(sim, 100, 0)
-        assert flow.beacon_wire_ns(100) == link._beacon_ser_ns
+        assert beacon_wire_ns(100) == link._beacon_ser_ns
         assert BEACON_BYTES > 0

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.net import Packet, PacketKind, build_single_rack
+from repro.net import Packet, PacketKind
 from repro.sim import Simulator
+from tests.instruments import build_single_rack
 
 
 def raw(dst_host, dst=2):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.net import Directory, Messenger, RpcEndpoint, RpcTimeout, build_single_rack
+from repro.net import Directory, Messenger, RpcEndpoint, RpcTimeout
 from repro.net.packet import Packet, PacketKind
 from repro.sim import Process, Simulator
+from tests.instruments import build_single_rack
 
 
 @pytest.fixture()

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.net import Packet, PacketKind, PacketTap, build_single_rack, build_testbed
+from repro.net import Packet, PacketKind, build_testbed
 from repro.sim import Simulator
+from tests.instruments import PacketTap, build_single_rack
 
 
 def raw(dst_host, src=1, dst=2):

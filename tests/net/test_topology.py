@@ -8,12 +8,12 @@ from repro.net import (
     PacketKind,
     TopologyParams,
     build_fat_tree,
-    build_single_rack,
     build_testbed,
 )
 from repro.net.link import Link
 from repro.net.nic import Host
 from repro.sim import Simulator
+from tests.instruments import build_single_rack
 from tests.reference import as_networkx
 
 
@@ -39,9 +39,9 @@ class TestBuild:
         assert len(topo.switches) == 4 * 2 + 4 * 2 + 2
         # The switch-to-switch forwarding graph must be a DAG; cycles
         # through hosts (send + receive roles) are expected and harmless.
-        from repro.net.routing import check_switch_dag
+        from repro.net.routing import compute_routes
 
-        check_switch_dag(topo)
+        compute_routes(topo, topo.hosts)  # raises on a switch cycle
         assert not nx.is_directed_acyclic_graph(as_networkx(topo))
 
     def test_single_rack_shape(self):

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.net import BackgroundFlow, SendWindow, TransportParams, build_single_rack
+from repro.net import BackgroundFlow, SendWindow, TransportParams
 from repro.net.transport import DctcpState
 from repro.sim import Simulator
+from tests.instruments import build_single_rack
 
 
 class TestDctcp:

@@ -32,12 +32,12 @@ beacons on the fabric, only the test-only seam sending packets.
 import pytest
 
 from repro.net.packet import PacketKind
-from repro.net.switch import PacketTap
 from repro.net.topology import build_fat_tree, fat_tree_descriptor
 from repro.onepipe.analytic import BeaconFabric
 from repro.onepipe.cluster import OnePipeCluster
 from repro.onepipe.config import ALL_MODES, MODE_BFT, MODES, OnePipeConfig
 from repro.sim import Simulator
+from tests.instruments import PacketTap
 from tests.reference import PacketBeacons, on_packet_beacons
 
 

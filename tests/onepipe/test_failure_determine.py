@@ -13,9 +13,7 @@ from repro.net import build_fat_tree, build_testbed
 from repro.net.topology import fat_tree_descriptor
 from repro.onepipe.failure import (
     DeadLinkReport,
-    alive_nodes,
     determine,
-    disconnected_hosts,
     failure_timestamp,
 )
 from repro.sim import Simulator
@@ -38,32 +36,29 @@ def report(topo, src, dst, last_commit=100):
     return DeadLinkReport("tester", topo.link(src, dst), last_commit)
 
 
+def failed_hosts(topo, *dead):
+    """Determine's failed-host set for the ``(src, dst)`` links ``dead``."""
+    reports = [report(topo, src, dst) for src, dst in dead]
+    return determine(topo, reports, ROOTS, hosts(topo))[0]
+
+
 class TestAliveNodes:
     def test_everything_alive_without_failures(self, topo):
-        alive = alive_nodes(topo, set(), ROOTS)
-        assert set(hosts(topo)) <= alive
+        assert failed_hosts(topo) == set()
 
     def test_host_uplink_dead_disconnects_host(self, topo):
-        dead = {topo.link("h3", "tor0.0.up")}
-        failed = disconnected_hosts(topo, dead, ROOTS, hosts(topo))
-        assert failed == {"h3"}
+        assert failed_hosts(topo, ("h3", "tor0.0.up")) == {"h3"}
 
     def test_host_downlink_dead_disconnects_host(self, topo):
-        dead = {topo.link("tor0.0.down", "h3")}
-        failed = disconnected_hosts(topo, dead, ROOTS, hosts(topo))
-        assert failed == {"h3"}
+        assert failed_hosts(topo, ("tor0.0.down", "h3")) == {"h3"}
 
     def test_core_link_dead_disconnects_nobody(self, topo):
-        dead = {topo.link("spine0.0.up", "core0")}
-        failed = disconnected_hosts(topo, dead, ROOTS, hosts(topo))
-        assert failed == set()
+        assert failed_hosts(topo, ("spine0.0.up", "core0")) == set()
 
     def test_tor_uplinks_dead_disconnect_rack(self, topo):
-        dead = {
-            topo.link("tor0.0.up", "spine0.0.up"),
-            topo.link("tor0.0.up", "spine0.1.up"),
-        }
-        failed = disconnected_hosts(topo, dead, ROOTS, hosts(topo))
+        failed = failed_hosts(
+            topo, ("tor0.0.up", "spine0.0.up"), ("tor0.0.up", "spine0.1.up")
+        )
         assert failed == {f"h{i}" for i in range(8)}
 
 
@@ -260,12 +255,6 @@ class TestAgainstNetworkxReference:
             DeadLinkReport("tester", links[index % len(links)], last_commit)
             for index, last_commit in picks
         ]
-        dead = {r.link for r in reports}
-        want_alive = reference.alive_digraph(graph, dead)
-        assert alive_nodes(topo, dead, roots) == (
-            reference.can_send_to_roots(want_alive, roots)
-            & reference.can_receive_from_roots(want_alive, roots)
-        )
         got = determine(topo, reports, roots, hosts(topo))
         assert got == reference.determine(graph, reports, roots, hosts(topo))
 

@@ -6,7 +6,7 @@ enter through ``on_beacon``, data through ``on_packet``.
 
 import pytest
 
-from repro.net import PacketKind, build_single_rack
+from repro.net import PacketKind
 from repro.net.packet import Packet
 from repro.onepipe.analytic import BeaconFabric
 from repro.onepipe.config import OnePipeConfig
@@ -17,6 +17,7 @@ from repro.onepipe.incarnations import (
     make_engine,
 )
 from repro.sim import Simulator
+from tests.instruments import build_single_rack
 
 
 @pytest.fixture()

@@ -22,14 +22,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
-from repro.net.topology import (
-    build_fat_tree,
-    build_single_rack,
-    fat_tree_descriptor,
-)
+from repro.net.topology import build_fat_tree, fat_tree_descriptor
 from repro.onepipe.cluster import OnePipeCluster
 from repro.onepipe.config import MODE_CHIP, MODE_SWITCH_CPU, OnePipeConfig
 from repro.sim import Simulator
+from tests.instruments import build_single_rack
 from tests.reference import on_packet_beacons
 
 RAW_BYTES = (0, 400, 1400)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.net import build_single_rack
 from repro.rdma import MemoryRegion, RdmaAgent, RdmaClient
 from repro.sim import Process, Simulator
+from tests.instruments import build_single_rack
 
 
 class TestMemoryRegion:

@@ -26,17 +26,22 @@ every graph where switches have no such host successor.
 while the runtime kept a ``networkx.DiGraph`` beside the topology, moved
 here verbatim; the plain-BFS version is checked against it.
 
-Both references take the ``DiGraph`` the topology used to carry;
+**Packet-level hyperscale baseline.**  :func:`run_packet_reference` runs
+a hyperscale scenario's *entire* topology at packet level; the hybrid
+island's accuracy is measured against it.
+
+The routing and Determine references take the ``DiGraph`` the topology used to carry;
 :func:`as_networkx` rebuilds it.  ``networkx`` is a ``dev`` dependency
 for this file alone — nothing under ``src/`` imports it.
 """
 
 from collections import deque
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Any, Dict, Iterable, List, Set, Tuple
 from unittest import mock
 
 import networkx as nx
 
+from repro.hybrid.engine import HyperscaleScenario, _run_island
 from repro.net.link import Link
 from repro.net.nic import Host
 from repro.net.packet import Packet, PacketKind
@@ -209,3 +214,19 @@ def determine(
     for host_id in failed_hosts:
         timestamps.setdefault(host_id, 0)
     return failed_hosts, timestamps
+
+
+def run_packet_reference(scenario: HyperscaleScenario) -> Dict[str, Any]:
+    """Full packet-level run of the scenario's *entire* topology, with
+    the same watched endpoints and traffic.  For an all-hot scenario
+    this is the very same code path ``run_hyperscale`` takes."""
+    descriptor = scenario.descriptor()
+    window_ns = descriptor.cross_pod_lookahead_ns
+    return _run_island(
+        scenario,
+        descriptor,
+        n_island_pods=descriptor.n_pods,
+        window_ns=window_ns,
+        horizon_ns=scenario.windows * window_ns,
+        core_schedule=None,
+    )

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import SimulationError, Simulator
-from repro.sim.simulator import exhaust
 
 
 def test_zero_interval_rejected():
@@ -57,15 +56,3 @@ def test_two_tasks_same_interval_fire_same_instants():
     assert a_times[1:] and b_times
     # Despite being created at different times, both fire on the grid.
     assert set(b_times) <= set(a_times)
-
-
-def test_exhaust_drains_iterator():
-    consumed = []
-
-    def gen():
-        for i in range(5):
-            consumed.append(i)
-            yield i
-
-    exhaust(gen())
-    assert consumed == [0, 1, 2, 3, 4]

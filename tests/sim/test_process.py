@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Future, Process, ProcessKilled, Simulator, all_of, any_of, sim_sleep
+from repro.sim import Future, Process, Simulator, all_of, sim_sleep
 
 
 def test_sleep_advances_time():
@@ -114,41 +114,6 @@ def test_all_of_waits_for_every_future():
     assert log == [(30, ["a", "b", "c"])]
 
 
-def test_any_of_returns_first():
-    sim = Simulator()
-    futures = [Future(sim) for _ in range(3)]
-    log = []
-
-    def waiter():
-        index, value = yield any_of(futures)
-        log.append((sim.now, index, value))
-
-    Process(sim, waiter())
-    sim.schedule(10, futures[1].resolve, "fast")
-    sim.schedule(20, futures[0].resolve, "slow")
-    sim.run()
-    assert log == [(10, 1, "fast")]
-
-
-def test_kill_runs_finally_blocks():
-    sim = Simulator()
-    cleaned = []
-
-    def worker():
-        try:
-            yield sim_sleep(sim, 1000)
-        finally:
-            cleaned.append(True)
-
-    proc = Process(sim, worker())
-    sim.schedule(10, proc.kill)
-    sim.run()
-    assert cleaned == [True]
-    assert not proc.alive
-    with pytest.raises(ProcessKilled):
-        _ = proc.result.value
-
-
 def test_yielding_non_future_is_a_type_error():
     sim = Simulator()
 
@@ -183,5 +148,3 @@ def test_empty_combinators_rejected():
     sim = Simulator()
     with pytest.raises(ValueError):
         all_of([])
-    with pytest.raises(ValueError):
-        any_of([])

@@ -109,79 +109,6 @@ def test_cluster_traces_nothing_when_disabled():
     assert sim.tracer.records == []
 
 
-class TestJsonlRoundTrip:
-    def test_round_trip_preserves_records(self):
-        tracer = Tracer(enabled=True)
-        tracer.trace(10, "link.h0", "send", size=100, reliable=True)
-        tracer.trace(20, "recv.1", "deliver", payload="x", src=0)
-        back = Tracer.from_jsonl(tracer.to_jsonl())
-        assert back.records == tracer.records
-        assert back.enabled is True
-        assert back.limit is None
-        assert back.dropped == 0
-        assert back.overflowed is False
-
-    def test_round_trip_preserves_dropped_and_overflowed(self):
-        tracer = Tracer(enabled=True, limit=2)
-        for i in range(5):
-            tracer.trace(i, "c", "e", i=i)
-        assert tracer.overflowed
-        back = Tracer.from_jsonl(tracer.to_jsonl())
-        assert back.limit == 2
-        assert back.dropped == 3
-        assert back.overflowed is True
-        assert len(back.records) == 2
-
-    def test_round_trip_of_empty_tracer(self):
-        back = Tracer.from_jsonl(Tracer(enabled=True).to_jsonl())
-        assert back.records == []
-        assert back.overflowed is False
-
-    def test_tuples_come_back_as_lists(self):
-        tracer = Tracer(enabled=True)
-        tracer.trace(1, "c", "e", pair=(3, 4))
-        back = Tracer.from_jsonl(tracer.to_jsonl())
-        assert back.records[0][3]["pair"] == [3, 4]
-
-    def test_dump_and_load_file(self, tmp_path):
-        tracer = Tracer(enabled=True)
-        tracer.trace(7, "barrier", "link_add", link="h0->tor0")
-        path = tmp_path / "trace.jsonl"
-        tracer.dump_jsonl(str(path))
-        back = Tracer.load_jsonl(str(path))
-        assert back.records == tracer.records
-
-    def test_serialization_is_deterministic(self):
-        def build():
-            tracer = Tracer(enabled=True)
-            tracer.trace(1, "c", "e", b=2, a=1)  # field order varies
-            return tracer
-
-        assert build().to_jsonl() == build().to_jsonl()
-
-    def test_rejects_empty_text(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="empty"):
-            Tracer.from_jsonl("")
-
-    def test_rejects_wrong_schema(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="not a"):
-            Tracer.from_jsonl('{"schema": "something/else"}\n')
-
-    def test_rejects_truncated_dump(self):
-        import pytest
-
-        tracer = Tracer(enabled=True)
-        tracer.trace(1, "c", "e")
-        tracer.trace(2, "c", "e")
-        lines = tracer.to_jsonl().splitlines()
-        with pytest.raises(ValueError, match="truncated"):
-            Tracer.from_jsonl("\n".join(lines[:-1]) + "\n")
-
-
 def test_import_package_api():
     import repro
 

@@ -3,6 +3,8 @@
 Every function, class, method, module-level name and ``OnePipeConfig``
 field defined under ``src/repro`` must be referenced somewhere in
 ``src tests benchmarks perf examples`` other than at its own definition.
+A module-level definition must also be named by what ships, not only by
+``tests/``: see ``test_no_module_level_definition_is_test_only``.
 The census is by bare name (stdlib ``ast``, no resolution): a name counts
 as referenced when it is loaded, read or written as an attribute, passed
 as a keyword argument, or handed to ``getattr``/``hasattr`` as a string.
@@ -18,6 +20,7 @@ exempt what the interpreter or a dispatcher calls by name:
 from __future__ import annotations
 
 import ast
+import copy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,4 +116,135 @@ def test_every_definition_is_referenced():
     assert not unreferenced, (
         "defined under src/repro but referenced nowhere in "
         f"{' '.join(REFERENCED_UNDER)}:\n" + "\n".join(unreferenced)
+    )
+
+
+SHIPPED_UNDER = ("src", "benchmarks", "examples", "perf")
+
+# Module-level definitions that only tests name, kept on purpose.
+TEST_ONLY_ALLOWED = {
+    "idle_wave_latency_ns": (
+        "the closed form of a clean-run beacon wave (PROTOCOL.md), kept "
+        "for the latency decomposition to check against"
+    ),
+}
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+class _Unit:
+    """A module-level statement or a method: the names it defines, the
+    class unit that owns it (methods only) and the names it references."""
+
+    def __init__(self, names, owner, where, node) -> None:
+        self.names, self.owner, self.where = names, owner, where
+        self.refs: set = set()
+        self.prefixes: set = set()
+        _references(node, self.refs, self.prefixes)
+        self.live = False
+
+    def wakes(self, live: set, prefixes: set) -> bool:
+        if self.owner is None:
+            return any(name in live for name in self.names)
+        return self.owner.live and any(
+            name in live or _dunder(name)
+            or any(name.startswith(prefix) for prefix in prefixes)
+            for name in self.names
+        )
+
+
+def _units(body, path, owner=None):
+    """One unit per module-level statement and per method.  A class unit
+    holds its body minus its methods; a module-level unit that defines
+    no name is code that runs on import."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node):
+            continue
+        if owner is None and isinstance(node, (ast.If, ast.Try)):
+            for field in ("body", "orelse", "finalbody"):
+                yield from _units(getattr(node, field, []), path)
+            for handler in getattr(node, "handlers", []):
+                yield from _units(handler.body, path)
+            if isinstance(node, ast.If):
+                yield _Unit((), None, path, node.test)
+            continue
+        methods = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = (node.name,)
+        elif isinstance(node, ast.ClassDef):
+            names = (node.name,)
+            methods = [
+                n for n in node.body
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            node = copy.copy(node)
+            node.body = [n for n in node.body if n not in methods]
+        else:
+            names = tuple(
+                name for name, _ in _definitions(ast.Module([node], []))
+            )
+        unit = _Unit(names, owner, f"{path}:{node.lineno}", node)
+        yield unit
+        yield from _units(methods, path, unit)
+
+
+def _test_only(units, live: set, prefixes: set) -> dict:
+    """Grow ``live`` from ``units`` to a fixpoint; return the module-level
+    definitions it never reaches, as ``{name: "path:line: name"}``."""
+    live, prefixes = set(live), set(prefixes)
+    for unit in units:
+        unit.live = not unit.names  # code that runs on import
+        if unit.live:
+            live |= unit.refs
+            prefixes |= unit.prefixes
+    woken = [None]
+    while woken:
+        woken = [u for u in units if not u.live and u.wakes(live, prefixes)]
+        for unit in woken:
+            unit.live = True
+            live |= unit.refs
+            prefixes |= unit.prefixes
+    return {
+        name: f"{unit.where}: {name}"
+        for unit in units
+        if not unit.live and unit.owner is None
+        for name in unit.names
+        if not _dunder(name)
+    }
+
+
+def test_no_module_level_definition_is_test_only():
+    """Each module-level function, class and constant under ``src/repro``
+    is named from ``src benchmarks examples perf`` by the bare-name rule
+    above.  A name used only inside a definition that is itself test-only
+    does not count: the live set grows from code that runs on import and
+    from the shipped directories to a fixpoint, and a method's body
+    counts once its class is live and its name is (dunders and dispatch
+    prefixes as above).  An allow-listed name is live, and so is what it
+    names."""
+    live: set = set()
+    prefixes: set = set()
+    units = []
+    for top in SHIPPED_UNDER:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            if DEFINED_UNDER in path.parents:
+                units.extend(_units(tree.body, path.relative_to(ROOT)))
+            else:
+                tree.body = [n for n in tree.body if not _is_all(n)]
+                _references(tree, live, prefixes)
+    assert len(units) > 1_000  # the walk found the tree
+    test_only = _test_only(units, live, prefixes)
+    stale = sorted(set(TEST_ONLY_ALLOWED) - set(test_only))
+    assert not stale, f"allow-listed but no longer test-only: {stale}"
+    offenders = _test_only(units, live | set(TEST_ONLY_ALLOWED), prefixes)
+    assert not offenders, (
+        "defined under src/repro but named only by tests/ "
+        "(delete it, move it to tests/, or give it a caller):\n"
+        + "\n".join(
+            where + ("" if name in offenders else "  (allow-listed)")
+            for name, where in sorted(test_only.items())
+        )
     )

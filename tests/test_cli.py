@@ -7,11 +7,12 @@ from repro.cli import main
 
 def test_unknown_command_rejected():
     # "bench": perf/run.py is the one benchmark, not a subcommand.  The
-    # single-feature demos are scripts in examples/, and --seed belongs
-    # to each subcommand, not to the program.
+    # single-feature demos are scripts in examples/, --seed belongs to
+    # each subcommand, not to the program, and verify spells its mode
+    # --mode only.
     for argv in (["nonsense"], ["bench"], ["topology"], ["latency"],
                  ["broadcast"], ["failure"], ["snapshot"],
-                 ["--seed", "9", "chaos"]):
+                 ["--seed", "9", "chaos"], ["verify", "--incarnation", "chip"]):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -1,7 +1,5 @@
 """Property tests of the open-loop arrival primitives (hypothesis).
 
-- the exact Zipf sampler's empirical distribution matches its analytic
-  CDF within a sampling tolerance;
 - arrival sequences are byte-identical per (seed, curve, window) —
   the foundation of the workload report's byte-identity guarantee;
 - rate-curve integration conserves offered load: ``expected_ops`` is
@@ -15,63 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.randomness import RngStreams
-from repro.workload.generators import OpenLoopArrivals, RateCurve, ZipfGenerator
+from repro.workload.generators import OpenLoopArrivals, RateCurve
 
 fast = settings(
     max_examples=20,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-# ----------------------------------------------------------------------
-# ZipfGenerator vs its analytic CDF
-# ----------------------------------------------------------------------
-@fast
-@given(
-    seed=st.integers(min_value=0, max_value=2**32 - 1),
-    n_items=st.integers(min_value=2, max_value=200),
-    theta=st.floats(min_value=0.2, max_value=1.5),
-)
-def test_zipf_empirical_matches_analytic_cdf(seed, n_items, theta):
-    rng = RngStreams(seed).stream("zipf.test")
-    gen = ZipfGenerator(rng, n_items, theta=theta)
-    n_samples = 3000
-    counts = [0] * n_items
-    for _ in range(n_samples):
-        rank = gen.sample()
-        assert 0 <= rank < n_items
-        counts[rank] += 1
-    # Kolmogorov-Smirnov style: sup |empirical CDF - analytic CDF|
-    # bounded by a generous multiple of 1/sqrt(n) (the DKW bound at
-    # alpha ~ 1e-6 is ~1.9/sqrt(n); hypothesis runs many examples).
-    running = 0
-    worst = 0.0
-    for rank in range(n_items):
-        running += counts[rank]
-        gap = abs(running / n_samples - gen.cdf(rank))
-        worst = max(worst, gap)
-    assert worst < 2.5 / math.sqrt(n_samples)
-
-
-@fast
-@given(
-    n_items=st.integers(min_value=1, max_value=500),
-    theta=st.floats(min_value=0.1, max_value=2.0),
-)
-def test_zipf_cdf_is_a_cdf(n_items, theta):
-    gen = ZipfGenerator(RngStreams(1).stream("z"), n_items, theta=theta)
-    assert gen.cdf(-1) == 0.0
-    assert gen.cdf(n_items - 1) == 1.0
-    assert gen.cdf(n_items + 5) == 1.0
-    prev = 0.0
-    for rank in range(n_items):
-        cur = gen.cdf(rank)
-        assert cur >= prev
-        prev = cur
-    # Zipf mass decreases with rank: P(0) is the largest atom.
-    if n_items > 1:
-        assert gen.cdf(0) >= gen.cdf(1) - gen.cdf(0)
 
 
 # ----------------------------------------------------------------------
