@@ -2,11 +2,14 @@
 
 - :mod:`~repro.apps.workloads` — key/value/transaction generators
   (uniform, YCSB-Zipf, Facebook ETC value sizes, TPC-C mix).
+- :mod:`~repro.apps.gather` — the scatter-gather call table the 1Pipe
+  apps share (scatter to N servers, gather their answers, resolve a
+  future).
 - :mod:`~repro.apps.kvstore` — transactional key-value store: 1Pipe
   (RO via best effort, WO/WR via reliable scattering), FaRM-style OCC,
   and a non-transactional upper bound (§7.3.1 / Fig. 14).
-- :mod:`~repro.apps.concurrency` — two-phase locking and OCC engines
-  used by the TPC-C baselines.
+- :mod:`~repro.apps.concurrency` — the lock table of the TPC-C
+  two-phase-locking baseline.
 - :mod:`~repro.apps.tpcc` — Eris-style independent transactions for
   TPC-C New-Order/Payment with replicated shards (§7.3.2 / Fig. 15).
 - :mod:`~repro.apps.hashtable` — remote (RDMA) hash table; fence

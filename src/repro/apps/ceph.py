@@ -17,13 +17,13 @@ the *baseline* composition reproduces that band.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, List
+from typing import Any
 
-from repro.net.rpc import Directory, Messenger, RpcEndpoint
+from repro.apps.gather import Calls
+from repro.net.rpc import rpc_endpoints
 from repro.net.topology import Topology
 from repro.onepipe.cluster import OnePipeCluster
-from repro.sim import Future, Process, Simulator, all_of
+from repro.sim import Future, Process, Simulator
 
 CEPH_RPC_BASE = 11_000_000
 CEPH_RESP_BASE = 12_000_000
@@ -70,40 +70,17 @@ class CephBaseline:
     ) -> None:
         self.sim = sim
         self.n_replicas = n_replicas
-        self.directory = Directory()
-        hosts = topology.assign_hosts(n_replicas + n_clients)
+        rpcs = rpc_endpoints(
+            topology, CEPH_RPC_BASE, n_replicas + n_clients, cpu_ns_per_msg
+        )
         self.disks = [SsdModel(sim, f"osd{r}") for r in range(n_replicas)]
-        self.osd_rpcs: List[RpcEndpoint] = []
-        for r in range(n_replicas):
-            self.directory.register(CEPH_RPC_BASE + r, hosts[r].node_id)
-        for c in range(n_clients):
-            self.directory.register(
-                CEPH_RPC_BASE + n_replicas + c, hosts[n_replicas + c].node_id
-            )
-        for r in range(n_replicas):
-            rpc = RpcEndpoint(
-                Messenger(hosts[r], CEPH_RPC_BASE + r, cpu_ns_per_msg),
-                self.directory,
-            )
+        self.osd_rpcs = rpcs[:n_replicas]
+        self.client_rpcs = rpcs[n_replicas:]
+        for rpc in self.osd_rpcs:
             # The RPC acknowledges receipt; the sequential disk write and
             # next-hop forwarding are driven by the chain process below.
-            rpc.serve("chain_write", lambda src, arg, r=r: self._noop(r))
-            self.osd_rpcs.append(rpc)
-        self.client_rpcs = [
-            RpcEndpoint(
-                Messenger(
-                    hosts[n_replicas + c],
-                    CEPH_RPC_BASE + n_replicas + c,
-                    cpu_ns_per_msg,
-                ),
-                self.directory,
-            )
-            for c in range(n_clients)
-        ]
+            rpc.serve("chain_write", lambda src, arg: True)
         self.writes_completed = 0
-
-    def _noop(self, _r: int):
-        return True
 
     def write(self, client_idx: int, object_id: Any, n_bytes: int = 4096) -> Future:
         done = Future(self.sim)
@@ -144,63 +121,38 @@ class CephOnePipe:
         self.sim = cluster.sim
         self.n_replicas = n_replicas
         self.disks = [SsdModel(self.sim, f"oposd{r}") for r in range(n_replicas)]
-        self._responders: Dict[int, Messenger] = {}
-        self._pending: Dict[int, tuple] = {}
-        self._write_ids = itertools.count(1)
+        self.calls = Calls(cluster, CEPH_RESP_BASE)
         self.writes_completed = 0
         for proc in range(n_replicas):
-            endpoint = cluster.endpoint(proc)
-            endpoint.on_recv(
+            cluster.endpoint(proc).on_recv(
                 lambda message, r=proc: self._osd_on_message(r, message)
             )
-            self._responders[proc] = Messenger(
-                endpoint.agent.host, CEPH_RESP_BASE + proc, cpu_ns_per_msg
-            )
         self.client_procs = list(range(n_replicas, cluster.n_processes))
-        for proc in self.client_procs:
-            endpoint = cluster.endpoint(proc)
-            messenger = Messenger(
-                endpoint.agent.host, CEPH_RESP_BASE + proc, 0
-            )
-            messenger.on("wack", self._client_on_ack)
-            self._responders[proc] = messenger
+        self.calls.attach(range(n_replicas), cpu_ns_per_msg)
+        self.calls.attach(self.client_procs, 0)
 
     def write(self, client_proc: int, object_id: Any, n_bytes: int = 4096) -> Future:
         done = Future(self.sim)
-        write_id = next(self._write_ids)
-        self._pending[write_id] = (done, self.n_replicas)
+        call = self.calls.open(range(self.n_replicas))
+        call.future.add_callback(lambda _f: self._written(done))
         entries = [
-            (r, ("wr", write_id, client_proc, object_id), n_bytes)
+            (r, ("wr", call.id, client_proc, object_id), n_bytes)
             for r in range(self.n_replicas)
         ]
         self.cluster.endpoint(client_proc).unreliable_send(entries)
         return done
 
+    def _written(self, done: Future) -> None:
+        self.writes_completed += 1
+        done.try_resolve(True)
+
     def _osd_on_message(self, replica: int, message) -> None:
         if message.payload[0] != "wr":
             return
-        _tag, write_id, client_proc, _object_id = message.payload
+        _tag, call_id, client_proc, _object_id = message.payload
         disk_done = self.disks[replica].write()
         disk_done.add_callback(
-            lambda _f: self._responders[replica].send(
-                CEPH_RESP_BASE + client_proc,
-                self.cluster.directory.host_of(client_proc),
-                "wack",
-                (write_id, replica),
-                size_bytes=32,
+            lambda _f: self.calls.answer(
+                replica, client_proc, call_id, None, size_bytes=32
             )
         )
-
-    def _client_on_ack(self, _src: int, body) -> None:
-        write_id, _replica = body
-        entry = self._pending.get(write_id)
-        if entry is None:
-            return
-        done, remaining = entry
-        remaining -= 1
-        if remaining == 0:
-            del self._pending[write_id]
-            self.writes_completed += 1
-            done.try_resolve(True)
-        else:
-            self._pending[write_id] = (done, remaining)

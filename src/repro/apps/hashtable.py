@@ -26,12 +26,13 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.net.rpc import Directory, Messenger, RpcEndpoint
+from repro.apps.gather import Calls
+from repro.net.rpc import Messenger
 from repro.net.topology import Topology
 from repro.onepipe.cluster import OnePipeCluster
 from repro.rdma.memory import MemoryRegion
 from repro.rdma.ops import RdmaAgent, RdmaClient
-from repro.sim import Future, Process, Simulator, all_of
+from repro.sim import Future, Process, Simulator
 
 HT_RESP_BASE = 6_000_000
 HT_RPC_BASE = 7_000_000
@@ -95,7 +96,6 @@ class RdmaHashTable:
         # Shard s replica r -> host index s * n_replicas + r; the leader
         # is replica 0.
         self.agents: Dict[Tuple[int, int], RdmaAgent] = {}
-        self.directory = Directory()
         self._follower_msgrs: Dict[Tuple[int, int], Messenger] = {}
         for s in range(n_servers):
             for r in range(n_replicas):
@@ -106,9 +106,6 @@ class RdmaHashTable:
                     messenger = Messenger(
                         host, HT_RPC_BASE + s * n_replicas + r,
                         cpu_ns_per_msg=replication_cpu_ns,
-                    )
-                    self.directory.register(
-                        HT_RPC_BASE + s * n_replicas + r, host.node_id
                     )
                     if r > 0:
                         messenger.on(
@@ -254,32 +251,20 @@ class OnePipeHashTable:
         if cluster.n_processes <= n_server_procs:
             raise ValueError("cluster too small for servers plus clients")
         self.regions: Dict[int, MemoryRegion] = {}
-        self._responders: Dict[int, Messenger] = {}
-        self._pending: Dict[int, tuple] = {}
-        # Per-instance so op/entry ids depend only on this run's
-        # history, not on what else ran in the same Python process.
-        self._op_ids = itertools.count(1)
+        self.calls = Calls(cluster, HT_RESP_BASE)
+        # Per-instance so entry ids depend only on this run's history,
+        # not on what else ran in the same Python process.
         self._entry_ids = itertools.count(1)
         self._lookup_rng = self.sim.rng("hashtable.replica_choice")
         self.inserts = 0
         self.lookups = 0
         for proc in range(n_server_procs):
             self.regions[proc] = MemoryRegion(f"ht{proc}")
-            endpoint = cluster.endpoint(proc)
-            endpoint.on_recv(
+            cluster.endpoint(proc).on_recv(
                 lambda message, proc=proc: self._server_on_message(proc, message)
             )
-            self._responders[proc] = Messenger(
-                endpoint.agent.host, HT_RESP_BASE + proc, cpu_ns_per_msg
-            )
         self.client_procs = list(range(n_server_procs, cluster.n_processes))
-        for proc in self.client_procs:
-            endpoint = cluster.endpoint(proc)
-            messenger = Messenger(
-                endpoint.agent.host, HT_RESP_BASE + proc, cpu_ns_per_msg
-            )
-            messenger.on("resp", self._client_on_response)
-            self._responders[proc] = messenger
+        self.calls.attach(range(cluster.n_processes), cpu_ns_per_msg)
 
     def replica_procs_of(self, shard: int) -> List[int]:
         base = shard * self.n_replicas
@@ -290,32 +275,40 @@ class OnePipeHashTable:
         """Fence-free insert: entry write and pointer swing are pipelined
         in one reliable scattering; replicas apply both in timestamp
         order, so readers can never see the pointer before the entry."""
-        done = Future(self.sim)
-        op_id = next(self._op_ids)
         entry_id = (client_proc << 32) | next(self._entry_ids)
-        shard = shard_of(key, self.n_servers)
-        targets = self.replica_procs_of(shard)
-        self._pending[op_id] = (done, len(targets), "insert")
+        targets = self.replica_procs_of(shard_of(key, self.n_servers))
+        call = self.calls.open(targets)
         entries = [
-            (p, ("ins", op_id, client_proc, entry_id, key, value), 96)
+            (p, ("ins", call.id, client_proc, entry_id, key, value), 96)
             for p in targets
         ]
         self.cluster.endpoint(client_proc).reliable_send(entries)
-        return done
+        return self._done(call, insert=True)
 
     def lookup(self, client_proc: int, key: int) -> Future:
         """Ordered lookup served by a *random* replica — all replicas
         deliver updates in the same order, so any of them is
         serializable (the Fig. 16 scaling effect)."""
-        done = Future(self.sim)
-        op_id = next(self._op_ids)
-        shard = shard_of(key, self.n_servers)
-        replicas = self.replica_procs_of(shard)
+        replicas = self.replica_procs_of(shard_of(key, self.n_servers))
         target = replicas[self._lookup_rng.randrange(len(replicas))]
-        self._pending[op_id] = (done, 1, "lookup")
+        call = self.calls.open([target])
         self.cluster.endpoint(client_proc).unreliable_send(
-            [(target, ("get", op_id, client_proc, key), 32)]
+            [(target, ("get", call.id, client_proc, key), 32)]
         )
+        return self._done(call, insert=False)
+
+    def _done(self, call, insert: bool) -> Future:
+        """Resolves with the call's last answer; counts the op first."""
+        done = Future(self.sim)
+
+        def finish(f) -> None:
+            if insert:
+                self.inserts += 1
+            else:
+                self.lookups += 1
+            done.try_resolve(list(f.value.values())[-1])
+
+        call.future.add_callback(finish)
         return done
 
     # ------------------------------------------------------------------
@@ -324,36 +317,13 @@ class OnePipeHashTable:
         tag = payload[0]
         region = self.regions[proc]
         if tag == "ins":
-            _tag, op_id, client_proc, entry_id, key, value = payload
+            _tag, call_id, client_proc, entry_id, key, value = payload
             head = region.read(("b", bucket_of(key)))
             _Region.apply_insert(region, entry_id, key, value, head)
             result = True
         elif tag == "get":
-            _tag, op_id, client_proc, key = payload
+            _tag, call_id, client_proc, key = payload
             result = _Region.chase(region, key)
         else:
             return
-        self._responders[proc].send(
-            HT_RESP_BASE + client_proc,
-            self.cluster.directory.host_of(client_proc),
-            "resp",
-            (op_id, result),
-            size_bytes=48,
-        )
-
-    def _client_on_response(self, _src: int, body) -> None:
-        op_id, result = body
-        entry = self._pending.get(op_id)
-        if entry is None:
-            return
-        done, remaining, kind = entry
-        remaining -= 1
-        if remaining == 0:
-            del self._pending[op_id]
-            if kind == "insert":
-                self.inserts += 1
-            else:
-                self.lookups += 1
-            done.try_resolve(result)
-        else:
-            self._pending[op_id] = (done, remaining, kind)
+        self.calls.answer(proc, client_proc, call_id, result, size_bytes=48)

@@ -23,12 +23,13 @@ Transactions use the op format of :class:`repro.apps.workloads.TxnMix`:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.net.rpc import Directory, Messenger, RpcEndpoint
+from repro.apps.gather import Calls
+from repro.net.rpc import rpc_endpoints
 from repro.net.topology import Topology
 from repro.onepipe.cluster import OnePipeCluster
-from repro.sim import Future, Simulator
+from repro.sim import Future, Process, Simulator, all_of, sim_sleep
 
 # Messenger proc-id namespaces (1Pipe endpoints use 0..N-1).
 RESP_BASE = 1_000_000
@@ -37,13 +38,17 @@ NONTX_BASE = 3_000_000
 
 
 class TxnResult:
-    """Outcome of a transaction."""
+    """Outcome of a transaction: the KVS fills ``values`` (key -> value
+    read), TPC-C fills ``output`` (what the transaction returned)."""
 
-    __slots__ = ("committed", "values", "aborts", "started_at", "finished_at")
+    __slots__ = (
+        "committed", "values", "output", "aborts", "started_at", "finished_at"
+    )
 
     def __init__(self) -> None:
         self.committed = False
         self.values: Dict[int, Any] = {}
+        self.output: Any = None
         self.aborts = 0
         self.started_at = 0
         self.finished_at = 0
@@ -79,23 +84,14 @@ class OnePipeKVS:
         self.n = cluster.n_processes
         self.ro_retry_timeout_ns = ro_retry_timeout_ns
         self.storage: List[Dict[int, Any]] = [dict() for _ in range(self.n)]
-        self._responders: List[Messenger] = []
-        self._pending: Dict[int, _PendingTxn] = {}
-        # Per-instance so txn ids depend only on this run's history, not
-        # on what else ran in the same Python process.
-        self._txn_ids = itertools.count(1)
+        self.calls = Calls(cluster, RESP_BASE)
         self.txns_committed = 0
         self.ro_retries = 0
         for i in range(self.n):
-            endpoint = cluster.endpoint(i)
-            endpoint.on_recv(
+            cluster.endpoint(i).on_recv(
                 lambda message, shard=i: self._server_on_message(shard, message)
             )
-            responder = Messenger(
-                endpoint.agent.host, RESP_BASE + i, cpu_ns_per_msg
-            )
-            responder.on("resp", self._client_on_response)
-            self._responders.append(responder)
+        self.calls.attach(range(self.n), cpu_ns_per_msg)
 
     def shard_of(self, key: int) -> int:
         return key % self.n
@@ -115,54 +111,41 @@ class OnePipeKVS:
         return future
 
     def _submit(self, initiator: int, ops, result: TxnResult, future) -> None:
-        txn_id = next(self._txn_ids)
-        kind = classify(ops)
         by_shard: Dict[int, List[tuple]] = {}
         for op in ops:
             by_shard.setdefault(self.shard_of(op[1]), []).append(op)
-        pending = _PendingTxn(
-            initiator, ops, kind, set(by_shard), result, future
+        call = self.calls.open(by_shard)
+        call.future.add_callback(
+            lambda f: self._commit(result, future, f.value)
         )
-        self._pending[txn_id] = pending
         entries = [
-            (shard, ("txn", txn_id, initiator, shard_ops), 24 + 16 * len(shard_ops))
-            for shard, shard_ops in by_shard.items()
+            (shard, ("txn", call.id, initiator, ops_), 24 + 16 * len(ops_))
+            for shard, ops_ in by_shard.items()
         ]
         endpoint = self.cluster.endpoint(initiator)
-        if kind == "ro":
+        if classify(ops) == "ro":
             endpoint.unreliable_send(entries)
-            pending.timer = self.sim.schedule(
-                self.ro_retry_timeout_ns, self._ro_timeout, txn_id
+            call.timer = self.sim.schedule(
+                self.ro_retry_timeout_ns, self._ro_timeout,
+                call, initiator, ops, result, future,
             )
         else:
             endpoint.reliable_send(entries)
 
-    def _ro_timeout(self, txn_id: int) -> None:
+    def _ro_timeout(self, call, initiator, ops, result, future) -> None:
         """A read-only transaction lost a message: retry it (§2.2.3)."""
-        pending = self._pending.pop(txn_id, None)
-        if pending is None:
-            return
-        pending.result.aborts += 1
+        self.calls.close(call)
+        result.aborts += 1
         self.ro_retries += 1
-        self._submit(
-            pending.initiator, pending.ops, pending.result, pending.future
-        )
+        self._submit(initiator, ops, result, future)
 
-    def _client_on_response(self, _src: int, body: Any) -> None:
-        txn_id, shard, values = body
-        pending = self._pending.get(txn_id)
-        if pending is None:
-            return  # a retried transaction's stale response
-        pending.result.values.update(values)
-        pending.waiting.discard(shard)
-        if not pending.waiting:
-            del self._pending[txn_id]
-            if pending.timer is not None:
-                pending.timer.cancel()
-            pending.result.committed = True
-            pending.result.finished_at = self.sim.now
-            self.txns_committed += 1
-            pending.future.try_resolve(pending.result)
+    def _commit(self, result: TxnResult, future: Future, answers) -> None:
+        for values in answers.values():
+            result.values.update(values)
+        result.committed = True
+        result.finished_at = self.sim.now
+        self.txns_committed += 1
+        future.try_resolve(result)
 
     # ------------------------------------------------------------------
     # Server side: apply in delivery (timestamp) order
@@ -171,7 +154,7 @@ class OnePipeKVS:
         tag = message.payload[0]
         if tag != "txn":
             return
-        _tag, txn_id, initiator, shard_ops = message.payload
+        _tag, call_id, initiator, shard_ops = message.payload
         store = self.storage[shard]
         values = {}
         for op, key, arg in shard_ops:
@@ -179,26 +162,9 @@ class OnePipeKVS:
                 values[key] = store.get(key)
             else:
                 store[key] = ("v", message.ts, arg)
-        self._responders[shard].send(
-            RESP_BASE + initiator,
-            self.cluster.directory.host_of(initiator),
-            "resp",
-            (txn_id, shard, values),
-            size_bytes=32 + 16 * len(values),
+        self.calls.answer(
+            shard, initiator, call_id, values, size_bytes=32 + 16 * len(values)
         )
-
-
-class _PendingTxn:
-    __slots__ = ("initiator", "ops", "kind", "waiting", "result", "future", "timer")
-
-    def __init__(self, initiator, ops, kind, waiting, result, future):
-        self.initiator = initiator
-        self.ops = ops
-        self.kind = kind
-        self.waiting = waiting
-        self.result = result
-        self.future = future
-        self.timer = None
 
 
 # ----------------------------------------------------------------------
@@ -218,29 +184,23 @@ class FarmKVS:
         self.sim = sim
         self.n = n_processes
         self.max_retries = max_retries
-        self.directory = Directory()
         # Per shard: key -> (value, version); plus a lock table.
         self.storage: List[Dict[int, Tuple[Any, int]]] = [
             dict() for _ in range(self.n)
         ]
         self.locks: List[Dict[int, int]] = [dict() for _ in range(self.n)]
-        self.rpcs: List[RpcEndpoint] = []
         self._txn_ids = itertools.count(1)
         self.txns_committed = 0
         self.txns_aborted = 0
-        hosts = topology.assign_hosts(n_processes)
-        for i, host in enumerate(hosts):
-            self.directory.register(RPC_BASE + i, host.node_id)
-        for i, host in enumerate(hosts):
-            rpc = RpcEndpoint(
-                Messenger(host, RPC_BASE + i, cpu_ns_per_msg), self.directory
-            )
+        self.rpcs = rpc_endpoints(
+            topology, RPC_BASE, n_processes, cpu_ns_per_msg
+        )
+        for i, rpc in enumerate(self.rpcs):
             rpc.serve("read", lambda src, arg, i=i: self._read(i, arg))
             rpc.serve("lock", lambda src, arg, i=i: self._lock(i, arg))
             rpc.serve("commit", lambda src, arg, i=i: self._commit(i, arg))
             rpc.serve("abort", lambda src, arg, i=i: self._abort(i, arg))
             rpc.serve("validate", lambda src, arg, i=i: self._validate(i, arg))
-            self.rpcs.append(rpc)
 
     def shard_of(self, key: int) -> int:
         return key % self.n
@@ -286,8 +246,6 @@ class FarmKVS:
 
     # Client side ----------------------------------------------------------
     def run_txn(self, initiator: int, ops: List[tuple]) -> Future:
-        from repro.sim import Process
-
         result = TxnResult()
         result.started_at = self.sim.now
         done = Future(self.sim)
@@ -295,8 +253,6 @@ class FarmKVS:
         return done
 
     def _txn_proc(self, initiator: int, ops, result: TxnResult, done: Future):
-        from repro.sim import all_of, sim_sleep
-
         rpc = self.rpcs[initiator]
         backoff_rng = self.sim.rng(f"farm.backoff.{initiator}")
         kind = classify(ops)
@@ -416,20 +372,14 @@ class NonTxKVS:
     ) -> None:
         self.sim = sim
         self.n = n_processes
-        self.directory = Directory()
         self.storage: List[Dict[int, Any]] = [dict() for _ in range(self.n)]
-        self.rpcs: List[RpcEndpoint] = []
         self.txns_committed = 0
-        hosts = topology.assign_hosts(n_processes)
-        for i, host in enumerate(hosts):
-            self.directory.register(NONTX_BASE + i, host.node_id)
-        for i, host in enumerate(hosts):
-            rpc = RpcEndpoint(
-                Messenger(host, NONTX_BASE + i, cpu_ns_per_msg), self.directory
-            )
+        self.rpcs = rpc_endpoints(
+            topology, NONTX_BASE, n_processes, cpu_ns_per_msg
+        )
+        for i, rpc in enumerate(self.rpcs):
             rpc.serve("get", lambda src, key, i=i: self.storage[i].get(key))
             rpc.serve("put", lambda src, arg, i=i: self._put(i, arg))
-            self.rpcs.append(rpc)
 
     def _put(self, shard: int, arg) -> bool:
         key, value = arg
@@ -441,8 +391,6 @@ class NonTxKVS:
 
     def run_txn(self, initiator: int, ops: List[tuple]) -> Future:
         """Fire every op in parallel; 'commit' = all RPCs answered."""
-        from repro.sim import all_of
-
         result = TxnResult()
         result.started_at = self.sim.now
         done = Future(self.sim)

@@ -13,17 +13,17 @@ logs agree in content and order, which is the property being checked.  The repli
 if the client sees equal checksums from every replica, the logs are
 consistent at least up to its entry and replication finished in one
 round trip.  A rejection means a lost message: the client retransmits
-from the first rejected sequence number.  On suspected replica failure
-the replicas run a consensus round (Raft here) to truncate to a
-consistent prefix.
+from the first rejected sequence number.  Diverging checksums resolve the
+append as ``False`` and leave recovery to the application: the paper
+truncates to a consistent prefix by consensus, which this module does not
+model.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
-from repro.net.rpc import Directory, Messenger, RpcEndpoint
+from repro.net.rpc import Messenger, rpc_endpoints
 from repro.net.topology import Topology
 from repro.onepipe.cluster import OnePipeCluster
 from repro.sim import Future, Process, Simulator, all_of
@@ -218,29 +218,6 @@ class OnePipeReplicatedLog:
         keys = [[(r.client, r.seq) for r in log] for log in self.logs]
         return all(k == keys[0] for k in keys[1:])
 
-    def truncate_to_consistent_prefix(self) -> int:
-        """Failure recovery: replicas agree (consensus in a real system)
-        on the longest common prefix and drop divergent tails."""
-        keys = [[(r.client, r.seq) for r in log] for log in self.logs]
-        prefix = 0
-        while all(len(k) > prefix for k in keys) and len(
-            {k[prefix] for k in keys}
-        ) == 1:
-            prefix += 1
-        for replica in range(self.n_replicas):
-            del self.logs[replica][prefix:]
-            checksum = 0
-            for record in self.logs[replica]:
-                checksum = (
-                    (checksum * 1_000_003 + record.client) * 1_000_003
-                    + record.seq
-                ) % (1 << 61)
-            self.checksums[replica] = checksum
-            self._expected[replica] = {}
-            for record in self.logs[replica]:
-                self._expected[replica][record.client] = record.seq + 1
-        return prefix
-
 
 class LeaderFollowerLog:
     """Traditional 2-RTT replication: client -> leader -> followers."""
@@ -255,32 +232,16 @@ class LeaderFollowerLog:
     ) -> None:
         self.sim = sim
         self.n_replicas = n_replicas
-        self.directory = Directory()
         self.logs: List[List[Any]] = [[] for _ in range(n_replicas)]
-        hosts = topology.assign_hosts(n_replicas + n_clients)
-        for i in range(n_replicas + n_clients):
-            self.directory.register(REPL_RPC_BASE + i, hosts[i].node_id)
-        self.replica_rpcs = []
-        for replica in range(n_replicas):
-            rpc = RpcEndpoint(
-                Messenger(hosts[replica], REPL_RPC_BASE + replica, cpu_ns_per_msg),
-                self.directory,
-            )
+        rpcs = rpc_endpoints(
+            topology, REPL_RPC_BASE, n_replicas + n_clients, cpu_ns_per_msg
+        )
+        self.replica_rpcs = rpcs[:n_replicas]
+        for replica, rpc in enumerate(self.replica_rpcs):
             if replica == 0:
                 rpc.serve("append", self._leader_append)
             rpc.serve("replicate", lambda src, arg, r=replica: self._apply(r, arg))
-            self.replica_rpcs.append(rpc)
-        self.client_rpcs = {
-            n_replicas + c: RpcEndpoint(
-                Messenger(
-                    hosts[n_replicas + c],
-                    REPL_RPC_BASE + n_replicas + c,
-                    cpu_ns_per_msg,
-                ),
-                self.directory,
-            )
-            for c in range(n_clients)
-        }
+        self.client_rpcs = rpcs[n_replicas:]
         self.appends_committed = 0
 
     def _apply(self, replica: int, entry: Any) -> bool:
@@ -295,8 +256,7 @@ class LeaderFollowerLog:
 
     def append(self, client_proc_index: int, payload: Any) -> Future:
         done = Future(self.sim)
-        client_key = self.n_replicas + client_proc_index
-        rpc = self.client_rpcs[client_key]
+        rpc = self.client_rpcs[client_proc_index]
         Process(self.sim, self._append_proc(rpc, payload, done))
         return done
 
@@ -350,7 +310,3 @@ class StateMachineReplication:
         command = message.payload[1]
         self.command_log[member].append((message.ts, message.src, command))
         self.apply(member, command, message.ts)
-
-    def logs_identical(self) -> bool:
-        logs = list(self.command_log.values())
-        return all(log == logs[0] for log in logs[1:])

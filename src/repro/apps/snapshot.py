@@ -19,9 +19,9 @@ global total.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
+from repro.apps.gather import Calls
 from repro.onepipe.cluster import OnePipeCluster
 from repro.sim import Future
 
@@ -42,7 +42,6 @@ class SnapshotParticipant:
         self.proc_id = proc_id
         self.on_message = on_message
         self.snapshot_fn = snapshot_fn
-        self.snapshots: Dict[int, Any] = {}  # snap_id -> recorded state
 
 
 class SnapshotCoordinator:
@@ -53,8 +52,7 @@ class SnapshotCoordinator:
         self.sim = cluster.sim
         self.member_procs = list(member_procs)
         self.participants: Dict[int, SnapshotParticipant] = {}
-        self._snap_ids = itertools.count(1)
-        self._pending: Dict[int, tuple] = {}  # snap_id -> (future, waiting)
+        self.calls = Calls(cluster)
 
     def register(
         self,
@@ -69,22 +67,13 @@ class SnapshotCoordinator:
         )
         return participant
 
-    # ------------------------------------------------------------------
-    def send_app_message(self, src_proc: int, dst_proc: int, body: Any):
-        """An application message, ordered with the snapshot markers."""
-        return self.cluster.endpoint(src_proc).reliable_send(
-            [(dst_proc, ("app", body), 64)]
-        )
-
     def take_snapshot(self, initiator_proc: int) -> Future:
         """Broadcast a marker; resolves with {proc: state} once every
         member recorded its cut."""
-        snap_id = next(self._snap_ids)
-        done = Future(self.sim)
-        self._pending[snap_id] = (done, set(self.member_procs))
-        entries = [(p, ("marker", snap_id), 32) for p in self.member_procs]
+        call = self.calls.open(self.member_procs)
+        entries = [(p, ("marker", call.id), 32) for p in self.member_procs]
         self.cluster.endpoint(initiator_proc).reliable_send(entries)
-        return done
+        return call.future
 
     # ------------------------------------------------------------------
     def _on_delivery(self, participant: SnapshotParticipant, message) -> None:
@@ -94,20 +83,9 @@ class SnapshotCoordinator:
             return
         if tag != "marker":
             return
-        snap_id = message.payload[1]
-        state = participant.snapshot_fn()
-        participant.snapshots[snap_id] = state
-        pending = self._pending.get(snap_id)
-        if pending is None:
-            return
-        done, waiting = pending
-        waiting.discard(participant.proc_id)
-        if not waiting:
-            del self._pending[snap_id]
-            done.try_resolve({
-                proc: self.participants[proc].snapshots[snap_id]
-                for proc in self.member_procs
-            })
+        self.calls.collect(
+            message.payload[1], participant.proc_id, participant.snapshot_fn()
+        )
 
 
 class TokenConservationDemo:
@@ -152,11 +130,3 @@ class TokenConservationDemo:
                 (dst_proc, ("app", amount), 32),
             ]
         )
-
-    def snapshot_total(self, initiator: int) -> Future:
-        """Resolves with the summed balances of a consistent snapshot."""
-        done = Future(self.coordinator.sim)
-        self.coordinator.take_snapshot(initiator).add_callback(
-            lambda f: done.try_resolve(sum(f.value.values()))
-        )
-        return done

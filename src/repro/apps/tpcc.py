@@ -26,33 +26,19 @@ New-Order *reads* it [Yu et al.], producing exactly 4 hot rows.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
-from repro.apps.concurrency import LockTable, VersionedStore
+from repro.apps.concurrency import LockTable
+from repro.apps.gather import Calls
+from repro.apps.kvstore import TxnResult
 from repro.apps.workloads import TpccMix
-from repro.net.rpc import Directory, Messenger, RpcEndpoint
+from repro.net.rpc import RpcEndpoint, rpc_endpoints
 from repro.net.topology import Topology
 from repro.onepipe.cluster import OnePipeCluster
 from repro.sim import Future, Process, Simulator, all_of
 
 TPCC_RESP_BASE = 4_000_000
 TPCC_RPC_BASE = 5_000_000
-
-
-class TpccResult:
-    __slots__ = ("committed", "aborts", "started_at", "finished_at", "output")
-
-    def __init__(self) -> None:
-        self.committed = False
-        self.aborts = 0
-        self.started_at = 0
-        self.finished_at = 0
-        self.output: Any = None
-
-    @property
-    def latency_ns(self) -> int:
-        return self.finished_at - self.started_at
 
 
 class WarehouseState:
@@ -144,32 +130,17 @@ class TpccOnePipe:
         if cluster.n_processes <= n_replica_procs:
             raise ValueError("cluster too small for replicas plus clients")
         self.replicas: Dict[int, WarehouseState] = {}
-        self._responders: List[Messenger] = []
-        self._pending: Dict[int, dict] = {}
-        self._txn_ids = itertools.count(1)
+        self.calls = Calls(cluster, TPCC_RESP_BASE)
         self.txns_committed = 0
         self.txns_retried = 0
         self.failed_replicas: set = set()
         for proc in range(n_replica_procs):
-            warehouse = proc // n_replicas
-            self.replicas[proc] = WarehouseState(warehouse)
-            endpoint = cluster.endpoint(proc)
-            endpoint.on_recv(
+            self.replicas[proc] = WarehouseState(proc // n_replicas)
+            cluster.endpoint(proc).on_recv(
                 lambda message, proc=proc: self._replica_on_message(proc, message)
             )
-            responder = Messenger(
-                endpoint.agent.host, TPCC_RESP_BASE + proc, cpu_ns_per_msg
-            )
-            self._responders.append(responder)
         self.client_procs = list(range(n_replica_procs, cluster.n_processes))
-        self._client_msgr: Dict[int, Messenger] = {}
-        for proc in self.client_procs:
-            endpoint = cluster.endpoint(proc)
-            messenger = Messenger(
-                endpoint.agent.host, TPCC_RESP_BASE + proc, cpu_ns_per_msg
-            )
-            messenger.on("resp", self._client_on_response)
-            self._client_msgr[proc] = messenger
+        self.calls.attach(range(cluster.n_processes), cpu_ns_per_msg)
 
     def replica_procs_of(self, warehouse: int) -> List[int]:
         base = warehouse * self.n_replicas
@@ -177,14 +148,13 @@ class TpccOnePipe:
 
     # ------------------------------------------------------------------
     def run_txn(self, client_proc: int, txn: tuple) -> Future:
-        result = TpccResult()
+        result = TxnResult()
         result.started_at = self.sim.now
         done = Future(self.sim)
         self._submit(client_proc, txn, result, done)
         return done
 
     def _submit(self, client_proc, txn, result, done) -> None:
-        txn_id = next(self._txn_ids)
         _kind, warehouse, _arg = txn
         targets = [
             p
@@ -196,25 +166,25 @@ class TpccOnePipe:
             result.finished_at = self.sim.now
             done.try_resolve(result)  # shard unavailable
             return
-        self._pending[txn_id] = {
-            "client": client_proc,
-            "txn": txn,
-            "result": result,
-            "done": done,
-            "waiting": set(targets),
-            "quorum": quorum,
-            "responded": 0,
-        }
-        entries = [(p, ("tpcc", txn_id, client_proc, txn), 128) for p in targets]
+        call = self.calls.open(targets)
+        call.future.add_callback(
+            lambda f: self._finish(result, done, quorum, f.value)
+        )
+        entries = [
+            (p, ("tpcc", call.id, client_proc, txn), 128) for p in targets
+        ]
         scattering = self.cluster.endpoint(client_proc).reliable_send(entries)
         if scattering is not None:
             scattering.completed.add_callback(
-                lambda f, txn_id=txn_id: self._on_scatter_done(txn_id, f)
+                lambda f: self._on_scatter_done(
+                    f, call, client_proc, txn, result, done
+                )
             )
 
-    def _on_scatter_done(self, txn_id: int, future) -> None:
-        pending = self._pending.get(txn_id)
-        if pending is None:
+    def _on_scatter_done(
+        self, future, call, client_proc, txn, result, done
+    ) -> None:
+        if call.future.done:
             return
         try:
             ok = future.value
@@ -223,64 +193,39 @@ class TpccOnePipe:
         if not ok:
             # A replica failed mid-scattering: the recall aborted it
             # everywhere; retry against the surviving replicas (§7.3.2).
-            del self._pending[txn_id]
-            pending["result"].aborts += 1
+            self.calls.close(call)
+            result.aborts += 1
             self.txns_retried += 1
             self.sim.schedule(
-                20_000,
-                self._submit,
-                pending["client"],
-                pending["txn"],
-                pending["result"],
-                pending["done"],
+                20_000, self._submit, client_proc, txn, result, done
             )
 
-    def _client_on_response(self, _src: int, body: Any) -> None:
-        txn_id, replica_proc, output = body
-        pending = self._pending.get(txn_id)
-        if pending is None:
-            return
-        pending["waiting"].discard(replica_proc)
-        pending["responded"] += 1
-        pending["result"].output = output
-        if pending["responded"] >= pending["quorum"] and not pending["waiting"]:
-            del self._pending[txn_id]
-            pending["result"].committed = True
-            pending["result"].finished_at = self.sim.now
+    def _finish(self, result, done, quorum: int, answers) -> None:
+        """No replica is left to wait for: the transaction commits iff a
+        quorum answered."""
+        if answers:
+            result.output = list(answers.values())[-1]
+        result.committed = len(answers) >= quorum
+        result.finished_at = self.sim.now
+        if result.committed:
             self.txns_committed += 1
-            pending["done"].try_resolve(pending["result"])
+        done.try_resolve(result)
 
     # ------------------------------------------------------------------
     def _replica_on_message(self, proc: int, message) -> None:
         if message.payload[0] != "tpcc":
             return
-        _tag, txn_id, client_proc, txn = message.payload
+        _tag, call_id, client_proc, txn = message.payload
         output = self.replicas[proc].execute(txn)
-        self._responders[proc].send(
-            TPCC_RESP_BASE + client_proc,
-            self.cluster.directory.host_of(client_proc),
-            "resp",
-            (txn_id, proc, output),
-            size_bytes=48,
-        )
+        self.calls.answer(proc, client_proc, call_id, output, size_bytes=48)
 
     # ------------------------------------------------------------------
     def mark_replica_failed(self, proc: int) -> None:
         """Remove a failed replica from scattering targets (driven by the
-        1Pipe proc-failure callback in benchmarks), and unblock pending
-        transactions that were only waiting on it."""
+        1Pipe proc-failure callback in benchmarks), and stop waiting on
+        it in pending transactions."""
         self.failed_replicas.add(proc)
-        for txn_id in list(self._pending):
-            pending = self._pending.get(txn_id)
-            if pending is None or proc not in pending["waiting"]:
-                continue
-            pending["waiting"].discard(proc)
-            if not pending["waiting"] and pending["responded"] >= 1:
-                del self._pending[txn_id]
-                pending["result"].committed = True
-                pending["result"].finished_at = self.sim.now
-                self.txns_committed += 1
-                pending["done"].try_resolve(pending["result"])
+        self.calls.forget(proc)
 
     def resync_replica(self, proc: int, from_proc: int) -> int:
         """Copy state from a healthy replica (log sync after recovery);
@@ -318,34 +263,21 @@ class _TpccRpcBase:
         self.sim = sim
         self.n_warehouses = n_warehouses
         self.n_replicas = n_replicas
-        self.directory = Directory()
         self.txns_committed = 0
         self.txns_aborted = 0
         self._base = TPCC_RPC_BASE + id_offset
         n_server_procs = n_warehouses * n_replicas
-        hosts = topology.assign_hosts(n_server_procs + n_clients)
+        rpcs = rpc_endpoints(
+            topology, self._base, n_server_procs + n_clients, cpu_ns_per_msg
+        )
         self.states: Dict[int, WarehouseState] = {}
         self.server_rpcs: Dict[int, RpcEndpoint] = {}
         for proc in range(n_server_procs):
-            self.directory.register(self._base + proc, hosts[proc].node_id)
-        for proc in range(n_server_procs, n_server_procs + n_clients):
-            self.directory.register(self._base + proc, hosts[proc].node_id)
-        for proc in range(n_server_procs):
-            warehouse = proc // n_replicas
-            self.states[proc] = WarehouseState(warehouse)
-            rpc = RpcEndpoint(
-                Messenger(hosts[proc], self._base + proc, cpu_ns_per_msg),
-                self.directory,
-            )
-            self._serve(rpc, proc)
-            self.server_rpcs[proc] = rpc
-        self.client_rpcs: Dict[int, RpcEndpoint] = {}
+            self.states[proc] = WarehouseState(proc // n_replicas)
+            self._serve(rpcs[proc], proc)
+            self.server_rpcs[proc] = rpcs[proc]
         self.client_ids = list(range(n_server_procs, n_server_procs + n_clients))
-        for proc in self.client_ids:
-            self.client_rpcs[proc] = RpcEndpoint(
-                Messenger(hosts[proc], self._base + proc, cpu_ns_per_msg),
-                self.directory,
-            )
+        self.client_rpcs = {proc: rpcs[proc] for proc in self.client_ids}
 
     def primary_of(self, warehouse: int) -> int:
         return warehouse * self.n_replicas
@@ -358,7 +290,7 @@ class _TpccRpcBase:
         raise NotImplementedError
 
     def run_txn(self, client_proc: int, txn: tuple) -> Future:
-        result = TpccResult()
+        result = TxnResult()
         result.started_at = self.sim.now
         done = Future(self.sim)
         Process(self.sim, self._txn_proc(client_proc, txn, result, done))
@@ -437,13 +369,9 @@ class TpccOcc(_TpccRpcBase):
         kwargs.setdefault("id_offset", 200_000)
         super().__init__(*args, **kwargs)
         self.max_retries = max_retries
-        self.row_versions: Dict[int, VersionedStore] = {
-            self.primary_of(w): VersionedStore()
-            for w in range(self.n_warehouses)
-        }
-        self.commit_locks: Dict[int, LockTable] = {
-            self.primary_of(w): LockTable(self.sim)
-            for w in range(self.n_warehouses)
+        # Version of each primary's hot warehouse row.
+        self.row_versions: Dict[int, int] = {
+            self.primary_of(w): 0 for w in range(self.n_warehouses)
         }
 
     def _serve(self, rpc: RpcEndpoint, proc: int) -> None:
@@ -451,7 +379,7 @@ class TpccOcc(_TpccRpcBase):
         if proc % self.n_replicas == 0:
             rpc.serve(
                 "read_version",
-                lambda src, arg, proc=proc: self.row_versions[proc].version(("wh",)),
+                lambda src, arg, proc=proc: self.row_versions[proc],
             )
             rpc.serve(
                 "occ_commit",
@@ -460,12 +388,11 @@ class TpccOcc(_TpccRpcBase):
 
     def _occ_commit(self, proc: int, arg):
         txn, expected_version, writes_row = arg
-        store = self.row_versions[proc]
-        if store.version(("wh",)) != expected_version:
+        if self.row_versions[proc] != expected_version:
             return (False, None)
         output = self.states[proc].execute(txn)
         if writes_row:
-            store.write(("wh",), self.sim.now)
+            self.row_versions[proc] += 1
         return (True, output)
 
     def _txn_proc(self, client_proc, txn, result, done):

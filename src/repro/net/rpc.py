@@ -6,7 +6,8 @@ messaging without 1Pipe ordering.  :class:`Messenger` provides that:
 fire-and-forget typed messages between process endpoints, delivered as
 soon as the network gets them there.  :class:`RpcEndpoint` layers
 request/response with futures and timeouts on top, which makes the
-application baselines read like straightforward RPC code.
+application baselines read like straightforward RPC code;
+:func:`rpc_endpoints` deploys one per process of a baseline.
 
 A per-endpoint CPU model (``cpu_ns_per_msg``) serializes message handling
 so that endpoint throughput saturates realistically, matching how the
@@ -16,10 +17,11 @@ paper's throughput is CPU-bound (§7.2).
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.net.nic import Host
 from repro.net.packet import Packet, PacketKind
+from repro.net.topology import Topology
 from repro.sim import Future, Simulator
 
 
@@ -124,12 +126,14 @@ class RpcEndpoint:
     sim process: ``reply = yield rpc.call(...)``).
     """
 
-    _req_ids = itertools.count(1)
-
     def __init__(self, messenger: Messenger, directory: "Directory") -> None:
         self.messenger = messenger
         self.sim = messenger.sim
         self.directory = directory
+        # Request ids only correlate replies and key the server's
+        # at-most-once cache (by source process), so each endpoint
+        # numbers its own.
+        self._req_ids = itertools.count(1)
         self._pending: Dict[int, Future] = {}
         self._methods: Dict[str, Callable[[int, Any], Any]] = {}
         self._responded: Dict[tuple, tuple] = {}
@@ -268,3 +272,18 @@ class Directory:
 
     def host_of(self, proc_id: int) -> str:
         return self._host_of[proc_id]
+
+
+def rpc_endpoints(
+    topology: Topology, base: int, n: int, cpu_ns_per_msg: int
+) -> List[RpcEndpoint]:
+    """``n`` RPC endpoints, process ids ``base .. base + n - 1``, one per
+    host of ``topology.assign_hosts(n)``, sharing one :class:`Directory`."""
+    hosts = topology.assign_hosts(n)
+    directory = Directory()
+    for i, host in enumerate(hosts):
+        directory.register(base + i, host.node_id)
+    return [
+        RpcEndpoint(Messenger(host, base + i, cpu_ns_per_msg), directory)
+        for i, host in enumerate(hosts)
+    ]

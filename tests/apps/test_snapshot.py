@@ -20,8 +20,8 @@ class TestTokenConservation:
         totals = []
         sim.schedule(
             100_000,
-            lambda: d.snapshot_total(0).add_callback(
-                lambda f: totals.append(f.value)
+            lambda: d.coordinator.take_snapshot(0).add_callback(
+                lambda f: totals.append(sum(f.value.values()))
             ),
         )
         sim.run(until=1_000_000)
@@ -42,8 +42,8 @@ class TestTokenConservation:
         for t in (50_000, 150_000, 250_000):
             sim.schedule(
                 t,
-                lambda: d.snapshot_total(2).add_callback(
-                    lambda f: totals.append(f.value)
+                lambda: d.coordinator.take_snapshot(2).add_callback(
+                    lambda f: totals.append(sum(f.value.values()))
                 ),
             )
         sim.run(until=2_000_000)
@@ -101,7 +101,8 @@ class TestSnapshotCoordinator:
         for k in range(20):
             sim.schedule(
                 10_000 + k * 3_000,
-                coordinator.send_app_message, k % 4, (k + 1) % 4, k,
+                cluster.endpoint(k % 4).reliable_send,
+                [((k + 1) % 4, ("app", k), 64)],
             )
         snaps = {}
         sim.schedule(

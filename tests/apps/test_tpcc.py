@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.apps.concurrency import LockTable, VersionedStore
+from repro.apps.concurrency import LockTable
 from repro.apps.tpcc import (
+    TPCC_RESP_BASE,
     TpccLock,
     TpccNonTx,
     TpccOcc,
@@ -41,18 +42,10 @@ class TestLockTable:
         table.release("k", "c")
         assert order == ["a", "b", "c"]
 
-    def test_try_acquire_no_wait(self):
-        sim = Simulator()
-        table = LockTable(sim)
-        assert table.try_acquire("k", "a") is True
-        assert table.try_acquire("k", "b") is False
-        table.release("k", "a")
-        assert table.try_acquire("k", "b") is True
-
     def test_release_by_non_owner_rejected(self):
         sim = Simulator()
         table = LockTable(sim)
-        table.try_acquire("k", "a")
+        table.acquire("k", "a")
         with pytest.raises(ValueError):
             table.release("k", "b")
 
@@ -62,15 +55,6 @@ class TestLockTable:
         table.acquire("k", "a")
         with pytest.raises(ValueError):
             table.acquire("k", "a")
-
-
-class TestVersionedStore:
-    def test_versions_increment(self):
-        store = VersionedStore()
-        assert store.read("x") == (None, 0)
-        assert store.write("x", "v1") == 1
-        assert store.write("x", "v2") == 2
-        assert store.read("x") == ("v2", 2)
 
 
 class TestWarehouseState:
@@ -161,6 +145,57 @@ class TestTpccOnePipe:
         cluster = OnePipeCluster(sim, n_processes=12)
         with pytest.raises(ValueError):
             TpccOnePipe(cluster)
+
+
+def one_answer_txn(sim, fail_first):
+    """One Payment on 3 replicas (quorum 2) whose replicas 1 and 2 have
+    their answers lost, so only replica 0's answer reaches the client.
+    Both lost replicas are then marked failed: before the answer
+    arrives (``fail_first``) or after it.  Returns the outcomes seen."""
+    cluster = OnePipeCluster(sim, n_processes=3 + 1)
+    app = TpccOnePipe(cluster, n_warehouses=1, n_replicas=3)
+    client = app.client_procs[0]
+    host = cluster.endpoint(client).agent.host
+    deliver = host.endpoints[TPCC_RESP_BASE + client]
+    lost = {TPCC_RESP_BASE + 1, TPCC_RESP_BASE + 2}
+    host.endpoints[TPCC_RESP_BASE + client] = (
+        lambda packet: None if packet.src in lost else deliver(packet)
+    )
+    outcomes = []
+
+    def fail_both():
+        app.mark_replica_failed(1)
+        app.mark_replica_failed(2)
+
+    def start():
+        app.run_txn(client, (TpccMix.PAYMENT, 0, (7, 10))).add_callback(
+            lambda f: outcomes.append(f.value.committed)
+        )
+        if fail_first:
+            fail_both()
+
+    sim.schedule(50_000, start)
+    sim.run(until=1_000_000)
+    if not fail_first:
+        assert outcomes == []  # one answer is not a quorum
+        fail_both()
+    return app, outcomes
+
+
+class TestTpccOnePipeQuorum:
+    """A transaction completes once no replica is left to wait for, and
+    commits iff a quorum answered, whichever comes first: the answers or
+    the failures."""
+
+    def test_answer_then_failures_does_not_commit(self):
+        app, outcomes = one_answer_txn(Simulator(seed=4), fail_first=False)
+        assert outcomes == [False]
+        assert app.txns_committed == 0
+
+    def test_failures_then_answer_resolves_uncommitted(self):
+        app, outcomes = one_answer_txn(Simulator(seed=4), fail_first=True)
+        assert outcomes == [False]
+        assert app.txns_committed == 0
 
 
 class TestTpccBaselines:

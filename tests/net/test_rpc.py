@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net import Directory, Messenger, RpcEndpoint, RpcTimeout
+from repro.net.rpc import rpc_endpoints
 from repro.net.packet import Packet, PacketKind
 from repro.sim import Process, Simulator
 from tests.instruments import build_single_rack
@@ -146,3 +147,38 @@ def test_concurrent_rpcs_resolve_independently(rack):
     Process(sim, caller())
     sim.run()
     assert results == ["server1", "server2", "server3"]
+
+
+def served_request_ids():
+    """Request ids a fresh client sends in a fresh two-host run."""
+    sim = Simulator()
+    _topo, hosts = build_single_rack(sim, n_hosts=2)
+    directory = Directory()
+    directory.register(1, hosts[0].node_id)
+    directory.register(2, hosts[1].node_id)
+    client = RpcEndpoint(Messenger(hosts[0], 1), directory)
+    server = RpcEndpoint(Messenger(hosts[1], 2), directory)
+    server.serve("echo", lambda src, arg: arg)
+    for k in range(3):
+        client.call(2, "echo", k)
+    sim.run()
+    return sorted(req_id for _src, req_id in server._responded)
+
+
+def test_request_ids_are_per_endpoint():
+    """Two identical runs in one process issue the same request ids:
+    nothing else that ran before moves them."""
+    assert served_request_ids() == served_request_ids() == [1, 2, 3]
+
+
+def test_rpc_endpoints_share_one_directory():
+    sim = Simulator()
+    topo, _hosts = build_single_rack(sim, n_hosts=4)
+    rpcs = rpc_endpoints(topo, 100, 3, cpu_ns_per_msg=0)
+    assert [rpc.messenger.proc_id for rpc in rpcs] == [100, 101, 102]
+    assert len({id(rpc.directory) for rpc in rpcs}) == 1
+    rpcs[2].serve("who", lambda src, arg: src)
+    got = []
+    rpcs[0].call(102, "who").add_callback(lambda f: got.append(f.value))
+    sim.run()
+    assert got == [100]

@@ -4,7 +4,9 @@ Every function, class, method, module-level name and ``OnePipeConfig``
 field defined under ``src/repro`` must be referenced somewhere in
 ``src tests benchmarks perf examples`` other than at its own definition.
 A module-level definition must also be named by what ships, not only by
-``tests/``: see ``test_no_module_level_definition_is_test_only``.
+``tests/``: see ``test_no_module_level_definition_is_test_only``.  So must
+a method of a class under ``src/repro/apps``: see
+``test_no_app_method_is_test_only``.
 The census is by bare name (stdlib ``ast``, no resolution): a name counts
 as referenced when it is loaded, read or written as an attribute, passed
 as a keyword argument, or handed to ``getattr``/``hasattr`` as a string.
@@ -190,9 +192,9 @@ def _units(body, path, owner=None):
         yield from _units(methods, path, unit)
 
 
-def _test_only(units, live: set, prefixes: set) -> dict:
-    """Grow ``live`` from ``units`` to a fixpoint; return the module-level
-    definitions it never reaches, as ``{name: "path:line: name"}``."""
+def _grow(units, live: set, prefixes: set) -> None:
+    """Mark the units reached from ``live`` (and from code that runs on
+    import) live, to a fixpoint."""
     live, prefixes = set(live), set(prefixes)
     for unit in units:
         unit.live = not unit.names  # code that runs on import
@@ -206,6 +208,12 @@ def _test_only(units, live: set, prefixes: set) -> dict:
             unit.live = True
             live |= unit.refs
             prefixes |= unit.prefixes
+
+
+def _test_only(units, live: set, prefixes: set) -> dict:
+    """The module-level definitions that :func:`_grow` never reaches, as
+    ``{name: "path:line: name"}``."""
+    _grow(units, live, prefixes)
     return {
         name: f"{unit.where}: {name}"
         for unit in units
@@ -215,15 +223,9 @@ def _test_only(units, live: set, prefixes: set) -> dict:
     }
 
 
-def test_no_module_level_definition_is_test_only():
-    """Each module-level function, class and constant under ``src/repro``
-    is named from ``src benchmarks examples perf`` by the bare-name rule
-    above.  A name used only inside a definition that is itself test-only
-    does not count: the live set grows from code that runs on import and
-    from the shipped directories to a fixpoint, and a method's body
-    counts once its class is live and its name is (dunders and dispatch
-    prefixes as above).  An allow-listed name is live, and so is what it
-    names."""
+def _shipped_units():
+    """Units under ``src/repro`` plus the names the shipped directories
+    outside it reference."""
     live: set = set()
     prefixes: set = set()
     units = []
@@ -236,6 +238,19 @@ def test_no_module_level_definition_is_test_only():
                 tree.body = [n for n in tree.body if not _is_all(n)]
                 _references(tree, live, prefixes)
     assert len(units) > 1_000  # the walk found the tree
+    return units, live, prefixes
+
+
+def test_no_module_level_definition_is_test_only():
+    """Each module-level function, class and constant under ``src/repro``
+    is named from ``src benchmarks examples perf`` by the bare-name rule
+    above.  A name used only inside a definition that is itself test-only
+    does not count: the live set grows from code that runs on import and
+    from the shipped directories to a fixpoint, and a method's body
+    counts once its class is live and its name is (dunders and dispatch
+    prefixes as above).  An allow-listed name is live, and so is what it
+    names."""
+    units, live, prefixes = _shipped_units()
     test_only = _test_only(units, live, prefixes)
     stale = sorted(set(TEST_ONLY_ALLOWED) - set(test_only))
     assert not stale, f"allow-listed but no longer test-only: {stale}"
@@ -247,4 +262,30 @@ def test_no_module_level_definition_is_test_only():
             where + ("" if name in offenders else "  (allow-listed)")
             for name, where in sorted(test_only.items())
         )
+    )
+
+
+METHODS_CHECKED_UNDER = "src/repro/apps/"
+
+
+def test_no_app_method_is_test_only():
+    """Each method and property of a class under ``src/repro/apps`` is
+    named from ``src benchmarks examples perf``, by the same bare-name
+    rule and fixpoint as the module-level test: a method counts once its
+    class is live and its name is.  Elsewhere under ``src/repro`` the
+    rule still covers module-level definitions only."""
+    units, live, prefixes = _shipped_units()
+    _grow(units, live | set(TEST_ONLY_ALLOWED), prefixes)
+    offenders = [
+        f"{unit.where}: {unit.owner.names[0]}.{unit.names[0]}"
+        for unit in units
+        if unit.owner is not None
+        and unit.owner.live
+        and not unit.live
+        and unit.where.startswith(METHODS_CHECKED_UNDER)
+    ]
+    assert not offenders, (
+        "methods under src/repro/apps named only by tests/ "
+        "(delete them, move them to tests/, or give them a caller):\n"
+        + "\n".join(offenders)
     )
