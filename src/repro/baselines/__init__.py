@@ -16,18 +16,13 @@
   f+1 quorum along the distribution path, hosts learn and nack holes.
 
 All five share the :class:`~repro.baselines.common.BroadcastGroup`
-interface; each is held to *its own* ordering contract
-(:mod:`~repro.baselines.contracts`), and the shootout runner
-(:mod:`~repro.baselines.shootout`) drives all of them — plus 1Pipe —
-through identical seeded chaos schedules (see docs/BASELINES.md).
+interface.  The shootout runner (:mod:`~repro.baselines.shootout`)
+drives all of them — plus 1Pipe — through identical seeded chaos
+schedules and judges every delivered log with the §2.1 reference
+oracle, held to what each protocol promises (see docs/BASELINES.md).
 """
 
 from repro.baselines.common import BroadcastGroup, BroadcastMember
-from repro.baselines.contracts import (
-    PROTOCOL_CONTRACTS,
-    OrderingContract,
-    check_contract,
-)
 from repro.baselines.epto import EptoBroadcast
 from repro.baselines.lamport import LamportBroadcast
 from repro.baselines.sequencer import SequencerBroadcast
@@ -40,11 +35,8 @@ __all__ = [
     "BroadcastMember",
     "EptoBroadcast",
     "LamportBroadcast",
-    "OrderingContract",
-    "PROTOCOL_CONTRACTS",
     "SequencerBroadcast",
     "ShootoutRunner",
     "SwitchPaxosBroadcast",
     "TokenRingBroadcast",
-    "check_contract",
 ]

@@ -36,7 +36,7 @@ class BroadcastMember:
         self.proc_id = group.next_proc_id()
         self.messenger = Messenger(host, self.proc_id, cpu_ns_per_msg)
         self.delivered_count = 0
-        self.delivered_log: Optional[List] = None  # set by tests
+        self.delivered_log: Optional[List] = None  # set by enable_logging
 
     def record_delivery(self, order_key: Any, src: int, payload: Any) -> None:
         self.delivered_count += 1
@@ -61,10 +61,6 @@ class BroadcastGroup:
             raise ValueError("a broadcast group needs at least 2 members")
         self.sim = sim
         self.topology = topology
-        # Subclasses that allocate helper processes (e.g. a sequencer)
-        # may have primed the counter before calling ``super().__init__``.
-        if not hasattr(self, "_proc_ids"):
-            self._proc_ids = itertools.count(PROC_ID_BASE)
         self.payload_bytes = payload_bytes
         self.deliver_callback: Optional[DeliverCallback] = None
         self.members: List[BroadcastMember] = []
@@ -74,7 +70,9 @@ class BroadcastGroup:
         self._wire()
 
     def next_proc_id(self) -> int:
-        """Allocate a group-local process id (deterministic per group)."""
+        """Allocate a group-local process id (deterministic per group).
+        Subclasses that allocate helper processes (e.g. a sequencer) may
+        call it before ``super().__init__``."""
         if not hasattr(self, "_proc_ids"):
             self._proc_ids = itertools.count(PROC_ID_BASE)
         return next(self._proc_ids)

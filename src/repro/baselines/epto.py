@@ -13,10 +13,10 @@ There is no sequencer, token, or quorum anywhere: the protocol
 tolerates member churn by construction (gossip targets are resampled
 every round and crashed peers are simply skipped), at the price of a
 delivery latency of ``ttl`` gossip rounds and a *probabilistic* rather
-than uniform agreement guarantee.  Its contract
-(:class:`repro.baselines.contracts.EVENTUAL_TOTAL_ORDER`) therefore
-promises only that the orders members *do* deliver never contradict
-each other — holes are allowed under churn.
+than uniform agreement guarantee.  The shootout therefore holds it
+(:data:`repro.baselines.shootout.PROMISES`) only to the orders members
+*do* deliver never contradicting each other — holes are allowed under
+churn, and even a clean run need not deliver everything.
 
 Determinism: gossip targets come from the named simulator stream
 ``rng("epto")``, so a seed fixes the entire epidemic.

@@ -5,8 +5,9 @@ total order on latency, throughput, and failure recovery.  This runner
 reproduces the comparison: it drives all five baselines — Lamport
 clocks, a switch sequencer, a token ring, EpTO epidemic order, and
 in-network switch-Paxos — plus 1Pipe itself through the *same* seeded
-chaos schedules, applies each protocol's own contract oracle
-(:mod:`repro.baselines.contracts`), and emits a deterministic
+chaos schedules, judges every cell with the §2.1 reference oracle
+(:class:`repro.verify.oracle.ReferenceOracle`) held to what the
+protocol promises (:data:`PROMISES`), and emits a deterministic
 latency/throughput/recovery crossover report.
 
 One *cell* = (scenario, protocol).  Every cell in a scenario builds a
@@ -26,7 +27,7 @@ Scenarios:
 
 =========  ============================================================
 clean      no faults — the baseline capability check (completeness
-           contracts are enforced here)
+           is enforced here)
 crash      fail-stop: a switch flap plus a host crash
 gray       the full default gray-failure mix (burst loss, degraded
            links, flaps, stragglers, clock chaos)
@@ -36,10 +37,10 @@ degraded   bandwidth/latency degradation plus bursty loss
 
 from __future__ import annotations
 
+from functools import partial
 from types import SimpleNamespace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.baselines.contracts import PROTOCOL_CONTRACTS, check_contract
 from repro.baselines.epto import EptoBroadcast
 from repro.baselines.lamport import LamportBroadcast
 from repro.baselines.sequencer import SequencerBroadcast
@@ -62,6 +63,8 @@ from repro.parallel import run_ordered
 from repro.sim import Simulator
 from repro.sim.randomness import episode_seed
 from repro.sim.stats import Histogram
+from repro.verify.episodes import broadcast_observation
+from repro.verify.oracle import ReferenceOracle, no_holes
 
 PROTOCOLS = (
     "lamport", "sequencer", "token", "epto", "switchpaxos", "onepipe",
@@ -75,6 +78,55 @@ SCENARIOS: Tuple[Tuple[str, int, Optional[tuple]], ...] = (
     ("degraded", 4, (("degrade_link", 3), ("burst_loss", 2))),
 )
 SCENARIO_NAMES = tuple(name for name, _n, _w in SCENARIOS)
+
+
+class Promise(NamedTuple):
+    """What a protocol promises beyond the oracle's O1–O4 rows."""
+
+    contract: str    # the report's name for the promise
+    gapless: bool    # loss stalls delivery, never skips (no_holes)
+    complete: bool   # a clean run delivers everything everywhere (O6)
+
+
+# Sequencer, token and switch-Paxos hold back out-of-order messages, so
+# loss stalls them; Lamport broadcast may hole under loss; EpTO's order
+# is probabilistic and its delivery best effort.  1Pipe cells are judged
+# by the chaos InvariantMonitor, which hands its run to the same oracle.
+PROMISES: Dict[str, Promise] = {
+    "lamport": Promise("agreed_total_order", False, True),
+    "sequencer": Promise("uniform_total_order", True, True),
+    "token": Promise("uniform_total_order", True, True),
+    "epto": Promise("eventual_total_order", False, False),
+    "switchpaxos": Promise("uniform_total_order", True, True),
+    "onepipe": Promise("onepipe_s21", False, False),
+}
+
+
+# How a cell builds each baseline's group: (sim, topology, members).
+_GROUPS = {
+    "lamport": LamportBroadcast,
+    "sequencer": partial(SequencerBroadcast, kind="switch"),
+    "token": TokenRingBroadcast,
+    "epto": EptoBroadcast,
+    "switchpaxos": SwitchPaxosBroadcast,
+}
+
+
+def check_logs(
+    protocol: str, logs, sends: Dict[int, List[Any]], clean: bool
+) -> List[Dict[str, Any]]:
+    """Judge a baseline's delivered logs (``BroadcastMember.delivered_log``
+    per member, ``sends[src]`` the payloads ``src`` broadcast in order)
+    by the oracle, plus :func:`no_holes` and, in a ``clean`` run,
+    completeness where the protocol promises them."""
+    promise = PROMISES[protocol]
+    observation = broadcast_observation(
+        logs, sends, complete=clean and promise.complete
+    )
+    divergences = ReferenceOracle(observation).check()
+    if promise.gapless:
+        divergences += no_holes(observation)
+    return [divergence.to_dict() for divergence in divergences]
 
 
 def k4_params(**overrides) -> TopologyParams:
@@ -177,14 +229,8 @@ class ShootoutRunner:
     def scenario_seed(self, scenario: str) -> int:
         return episode_seed(self.seed, SCENARIO_NAMES.index(scenario))
 
-    def _scenario_spec(self, scenario: str) -> Tuple[int, tuple]:
-        for name, n_faults, weights in SCENARIOS:
-            if name == scenario:
-                return n_faults, weights or DEFAULT_FAULT_WEIGHTS
-        raise KeyError(scenario)
-
     def _schedule(self, sim: Simulator, topology, scenario: str):
-        n_faults, weights = self._scenario_spec(scenario)
+        _name, n_faults, weights = SCENARIOS[SCENARIO_NAMES.index(scenario)]
         if n_faults == 0:
             return ChaosSchedule([])
         return ChaosSchedule.generate(
@@ -192,7 +238,7 @@ class ShootoutRunner:
             topology,
             self.horizon_ns,
             n_faults=n_faults,
-            weights=weights,
+            weights=weights or DEFAULT_FAULT_WEIGHTS,
         )
 
     # ------------------------------------------------------------------
@@ -241,7 +287,7 @@ class ShootoutRunner:
         report = {
             "scenario": scenario,
             "protocol": protocol,
-            "contract": PROTOCOL_CONTRACTS[protocol].name,
+            "contract": PROMISES[protocol].contract,
             "faults": schedule.to_list(),
             "violations": violations,
             "broadcasts_sent": stats.sent,
@@ -263,20 +309,7 @@ class ShootoutRunner:
         self, sim: Simulator, scenario: str, protocol: str
     ) -> Dict[str, Any]:
         topology = build_fat_tree(sim, k4_params())
-        if protocol == "lamport":
-            group = LamportBroadcast(sim, topology, self.n_members)
-        elif protocol == "sequencer":
-            group = SequencerBroadcast(
-                sim, topology, self.n_members, kind="switch"
-            )
-        elif protocol == "token":
-            group = TokenRingBroadcast(sim, topology, self.n_members)
-        elif protocol == "epto":
-            group = EptoBroadcast(sim, topology, self.n_members)
-        elif protocol == "switchpaxos":
-            group = SwitchPaxosBroadcast(sim, topology, self.n_members)
-        else:  # pragma: no cover - guarded in __init__
-            raise ValueError(f"unknown protocol {protocol!r}")
+        group = _GROUPS[protocol](sim, topology, self.n_members)
         group.enable_logging()
 
         stats = _CellStats(sim)
@@ -316,12 +349,11 @@ class ShootoutRunner:
         if hasattr(group, "stop"):
             group.stop()
 
-        logs = [m.delivered_log for m in group.members]
-        violations = check_contract(
-            PROTOCOL_CONTRACTS[protocol],
-            logs,
+        violations = check_logs(
+            protocol,
+            [m.delivered_log for m in group.members],
             stats.sends,
-            expect_complete=(scenario == "clean"),
+            clean=(scenario == "clean"),
         )
         extra = {}
         if protocol == "sequencer":
@@ -380,11 +412,9 @@ class ShootoutRunner:
                 entries.append((dst, payload))
             if endpoint.reliable_send(entries) is None:
                 return
-            # One scattering = one logical broadcast; account each
-            # destination copy so ratios are comparable per message.
-            stats.sends.setdefault(sender, [])
+            # One scattering = one logical broadcast; time each
+            # destination copy so latencies are comparable per message.
             for _dst, payload in entries:
-                stats.sends[sender].append(payload)
                 stats.send_ns[payload] = sim.now
             stats.sent += 1
 

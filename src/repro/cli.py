@@ -362,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     shootout = add_runner(
         "shootout", "baseline shootout: every total-order protocol "
-                    "under identical chaos, per-protocol contract "
-                    "oracles, crossover report",
+                    "under identical chaos, judged by the §2.1 oracle, "
+                    "crossover report",
         "--jobs", "--metrics", "--quiet",
     )
     shootout.add_argument("--protocols", default=None,

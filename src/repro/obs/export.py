@@ -110,7 +110,7 @@ KNOWN_HYBRID_METRICS = frozenset({
 # cell runner emits.
 KNOWN_SHOOTOUT_METRICS = frozenset({
     "shootout.broadcasts_sent",      # traffic driver: broadcasts issued
-    "shootout.contract_violations",  # contract oracle: rules broken
+    "shootout.contract_violations",  # §2.1 oracle: divergences found
     "shootout.messages_delivered",   # members: deliveries recorded
 })
 

@@ -19,7 +19,7 @@ scatter fanout, mid-run faults via :class:`repro.chaos.schedule`), so a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.chaos.schedule import ChaosInjector, ChaosSchedule, FaultEvent
@@ -101,20 +101,10 @@ class EpisodeSpec:
             drain_ns=data["drain_ns"],
             sends=tuple(SendOp.from_dict(op) for op in data["sends"]),
             faults=tuple(
-                FaultEvent(
-                    at=event["at"],
-                    kind=event["kind"],
-                    target=event["target"],
-                    duration_ns=event["duration_ns"],
-                    params=dict(event["params"]),
-                )
+                FaultEvent(**dict(event, params=dict(event["params"])))
                 for event in data["faults"]
             ),
         )
-
-    def with_mode(self, mode: str) -> "EpisodeSpec":
-        """The same fuzzed episode on a different switch incarnation."""
-        return replace(self, mode=mode)
 
 
 # ----------------------------------------------------------------------
@@ -396,4 +386,60 @@ def extract_observation(
         deliveries=deliveries,
         cutoff_notices=cutoff_notices,
         proc_hosts=proc_hosts,
+    )
+
+
+def broadcast_observation(
+    logs: List[List[Tuple[Any, int, Any]]],
+    sends: Dict[int, List[Any]],
+    complete: bool,
+) -> EpisodeObservation:
+    """The observation of a broadcast group: ``logs[i]`` is member *i*'s
+    ``delivered_log`` of ``(order_key, src, payload)``, ``sends[src]``
+    the payloads ``src`` broadcast in order (unique per sender).
+
+    Each broadcast is one reliable scattering with one message per
+    member, the sender included; ``pair_seq`` is the send index.  ``ts``
+    is the agreed key, the one the message was first delivered under
+    (members in index order) unless an earlier message holds it, so a
+    member keying a message differently, or two messages sharing a key,
+    is an O3 fabrication.  ``complete`` makes O6 want every message at
+    every member.  Logs carry no times: every delivery is at 0.
+    """
+    agreed: Dict[Tuple[int, Any], Any] = {}
+    taken = set()
+    for log in logs:
+        for key, src, payload in log:
+            if (src, payload) not in agreed:
+                agreed[(src, payload)] = None if key in taken else key
+                taken.add(key)
+    n = len(logs)
+    scatterings: Dict[Tuple[int, Any], int] = {}
+    sent: List[SentMessage] = []
+    for src in sorted(sends):
+        for seq, payload in enumerate(sends[src]):
+            index = scatterings[(src, payload)] = len(scatterings)
+            ts = agreed.get((src, payload))
+            sent.extend(
+                SentMessage(index * n + dst, src, dst, True, payload, ts,
+                            index, seq)
+                for dst in range(n)
+            )
+
+    def msg_id(receiver: int, src: int, payload: Any) -> int:
+        index = scatterings.get((src, payload))
+        return -1 if index is None else index * n + receiver
+
+    return EpisodeObservation(
+        sends=sent,
+        completions=dict.fromkeys(range(len(scatterings)), complete or None),
+        failure_cutoffs={}, failed_procs=set(),
+        deliveries={
+            receiver: [
+                Delivery(0, receiver, key, src, msg_id(receiver, src, payload),
+                         True, payload)
+                for key, src, payload in log
+            ]
+            for receiver, log in enumerate(logs)
+        },
     )

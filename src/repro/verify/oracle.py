@@ -174,6 +174,36 @@ def failure_cutoff_strict(observation: EpisodeObservation) -> List[Divergence]:
     return out
 
 
+def no_holes(observation: EpisodeObservation) -> List[Divergence]:
+    """Each receiver's trace is a prefix of the messages sent to it that
+    carry a timestamp, sorted by the global key: loss stalls delivery and
+    never skips.  The baselines' adapter stamps a message once some member
+    delivered it.  :meth:`ReferenceOracle.check` does not run this: §2.1
+    lets best-effort messages be lost.
+    """
+    out: List[Divergence] = []
+    for receiver in sorted(observation.deliveries):
+        merged = sorted(
+            (
+                sent for sent in observation.sends
+                if sent.dst == receiver and sent.ts is not None
+            ),
+            key=lambda sent: (sent.ts, sent.src, sent.msg_id),
+        )
+        trace = observation.deliveries[receiver]
+        for index, (delivery, want) in enumerate(zip(trace, merged)):
+            if delivery.msg_id != want.msg_id:
+                out.append(Divergence(
+                    "hole",
+                    f"receiver {receiver} delivery #{index} is "
+                    f"msg_id={delivery.msg_id} but its merged order puts "
+                    f"msg_id={want.msg_id} there (a hole or a reorder)",
+                    receiver=receiver, index=index, time=delivery.time,
+                ))
+                break
+    return out
+
+
 class ReferenceOracle:
     """Compute the legal outcome of an episode and diff the actual one.
 
@@ -211,13 +241,6 @@ class ReferenceOracle:
     # ------------------------------------------------------------------
     # The oracle's own answers
     # ------------------------------------------------------------------
-    def expected_order(self, receiver: int) -> List[Delivery]:
-        """The unique legal order of what ``receiver`` actually delivered:
-        its delivered messages sorted by the global key."""
-        return sorted(
-            self.obs.deliveries.get(receiver, ()), key=Delivery.key
-        )
-
     def required_reliable(self, receiver: int) -> List[SentMessage]:
         """Reliable messages that MUST appear in ``receiver``'s trace:
         entries of completed scatterings between never-failed processes."""

@@ -92,7 +92,7 @@ class TestWarehouseState:
 
 
 def drive_clients(sim, app, clients, mix, until):
-    committed = []
+    resolved = []
 
     def loop(c):
         def again(_f=None):
@@ -100,7 +100,7 @@ def drive_clients(sim, app, clients, mix, until):
                 return
             txn = mix.next_txn()
             app.run_txn(c, txn).add_callback(
-                lambda f: (committed.append(f.value), again())
+                lambda f: (resolved.append(f.value), again())
             )
 
         again()
@@ -108,7 +108,7 @@ def drive_clients(sim, app, clients, mix, until):
     for c in clients:
         sim.schedule(10_000, loop, c)
     sim.run(until=until + 3_000_000)
-    return committed
+    return resolved
 
 
 class TestTpccOnePipe:
@@ -122,11 +122,12 @@ class TestTpccOnePipe:
 
     def test_transactions_commit(self, setup):
         sim, cluster, app, mix = setup
-        committed = drive_clients(
+        resolved = drive_clients(
             sim, app, app.client_procs[:4], mix, until=1_500_000
         )
         assert app.txns_committed > 50
-        assert all(r.committed for r in committed if r.committed)
+        assert all(r.committed for r in resolved)
+        assert len(resolved) == app.txns_committed
 
     def test_replicas_stay_identical(self, setup):
         sim, cluster, app, mix = setup

@@ -9,9 +9,8 @@ to fail over.
 import pytest
 
 from repro.baselines import EptoBroadcast
-from repro.baselines.contracts import EVENTUAL_TOTAL_ORDER, check_contract
 from repro.baselines.epto import default_ttl
-from repro.baselines.shootout import k4_params
+from repro.baselines.shootout import check_logs, k4_params
 from repro.net import FailureInjector
 from repro.net.topology import build_fat_tree
 from repro.sim import Simulator
@@ -57,9 +56,7 @@ def test_clean_run_delivers_everything_in_agreement():
     # Converged logs are identical, not merely non-contradictory.
     for i, log in enumerate(logs[1:], start=1):
         assert log == logs[0], f"member {i} diverged"
-    assert check_contract(
-        EVENTUAL_TOTAL_ORDER, logs, sends, expect_complete=True
-    ) == []
+    assert check_logs("epto", logs, sends, clean=True) == []
 
 
 def test_delivery_waits_for_the_ttl_round_bound():
@@ -97,7 +94,7 @@ def test_survivors_converge_after_member_crash():
     survivors = [m for m in group.members if not m.host.failed]
     assert len(survivors) == len(group.members) - 1
     logs = [m.delivered_log for m in survivors]
-    assert check_contract(EVENTUAL_TOTAL_ORDER, logs, sends) == []
+    assert check_logs("epto", logs, sends, clean=False) == []
     for log in logs[1:]:
         assert log == logs[0]
     # Messages broadcast before the crash still spread epidemically.

@@ -1,12 +1,13 @@
-"""Property suite: baseline broadcasts keep their ordering contracts
+"""Property suite: baseline broadcasts keep their ordering promises
 under randomized traffic and seeded loss/straggler chaos (hypothesis).
 
 Each example drives one baseline with a randomized send schedule —
 optionally composed with a seeded chaos schedule of bursty loss and
-switch stragglers — and checks the protocol's own contract from
-:mod:`repro.baselines.contracts`: agreement on order keys, per-sender
-FIFO, and (for the hold-back protocols) prefix/no-gaps.  Loss may stall
-a uniform protocol; it must never make it skip or reorder.
+switch stragglers — and judges the delivered logs as the shootout does
+(``repro.baselines.shootout.check_logs``): the §2.1 oracle's order,
+at-most-once, no-fabrication (one key per message) and per-sender FIFO
+rows, plus no holes for the hold-back protocols.  Loss may stall a
+hold-back protocol; it must never make it skip or reorder.
 """
 
 from types import SimpleNamespace
@@ -20,8 +21,7 @@ from repro.baselines import (
     SequencerBroadcast,
     TokenRingBroadcast,
 )
-from repro.baselines.contracts import PROTOCOL_CONTRACTS, check_contract
-from repro.baselines.shootout import k4_params
+from repro.baselines.shootout import check_logs, k4_params
 from repro.chaos.schedule import ChaosInjector, ChaosSchedule
 from repro.net.topology import build_fat_tree
 from repro.sim import Simulator
@@ -88,9 +88,7 @@ def run_protocol(protocol, seed, traffic, n_faults=0):
        traffic=traffic_strategy)
 def test_contract_holds_on_clean_runs(protocol, seed, traffic):
     logs, sends = run_protocol(protocol, seed, traffic)
-    assert check_contract(
-        PROTOCOL_CONTRACTS[protocol], logs, sends, expect_complete=True
-    ) == []
+    assert check_logs(protocol, logs, sends, clean=True) == []
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -105,9 +103,7 @@ def test_contract_holds_under_loss_and_stragglers(
     produce disagreement, per-sender reorder, or (for the hold-back
     protocols) gaps in the delivered prefix."""
     logs, sends = run_protocol(protocol, seed, traffic, n_faults=n_faults)
-    assert check_contract(
-        PROTOCOL_CONTRACTS[protocol], logs, sends
-    ) == []
+    assert check_logs(protocol, logs, sends, clean=False) == []
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)

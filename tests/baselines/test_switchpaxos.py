@@ -9,8 +9,7 @@ nack-driven loss recovery path.
 import pytest
 
 from repro.baselines import SwitchPaxosBroadcast
-from repro.baselines.contracts import UNIFORM_TOTAL_ORDER, check_contract
-from repro.baselines.shootout import k4_params
+from repro.baselines.shootout import check_logs, k4_params
 from repro.net.topology import build_fat_tree
 from repro.sim import Simulator
 
@@ -45,9 +44,7 @@ def test_clean_run_is_uniform_total_order():
         assert member.delivered_count == sent, f"member {i} incomplete"
     for i, log in enumerate(logs[1:], start=1):
         assert log == logs[0], f"member {i} diverged"
-    assert check_contract(
-        UNIFORM_TOTAL_ORDER, logs, sends, expect_complete=True
-    ) == []
+    assert check_logs("switchpaxos", logs, sends, clean=True) == []
     # Instance numbers are dense from 1.
     seqs = [key for key, _src, _p in logs[0]]
     assert seqs == list(range(1, sent + 1))
@@ -112,9 +109,7 @@ def test_spine_outage_recovers_via_nacks():
         assert member.delivered_count == sent, f"member {i} incomplete"
     for log in logs[1:]:
         assert log == logs[0]
-    assert check_contract(
-        UNIFORM_TOTAL_ORDER, logs, sends, expect_complete=True
-    ) == []
+    assert check_logs("switchpaxos", logs, sends, clean=True) == []
 
 
 def test_coordinator_crash_halts_ordering():

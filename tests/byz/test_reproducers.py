@@ -13,6 +13,7 @@ tests prove the acceptance loop:
   window of the first accusation.
 """
 
+import dataclasses
 import json
 import os
 
@@ -42,7 +43,7 @@ def run_both(name: str):
     _run, chip_divs = check_episode(spec)
     captured = []
     bft_run, bft_divs = check_episode(
-        spec.with_mode(MODE_BFT), mutate=captured.append
+        dataclasses.replace(spec, mode=MODE_BFT), mutate=captured.append
     )
     return chip_divs, bft_run, bft_divs, captured[0].controller
 

@@ -29,6 +29,8 @@ Plus two regressions: back-to-back runs in one process stay identical
 beacons on the fabric, only the test-only seam sending packets.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.net.packet import PacketKind
@@ -279,7 +281,8 @@ def _bft_replay(name):
 
     captured = []
     run, divs = check_episode(
-        load_spec(name).with_mode(MODE_BFT), mutate=captured.append
+        dataclasses.replace(load_spec(name), mode=MODE_BFT),
+        mutate=captured.append,
     )
     cluster = captured[0]
     return {

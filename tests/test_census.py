@@ -5,8 +5,8 @@ field defined under ``src/repro`` must be referenced somewhere in
 ``src tests benchmarks perf examples`` other than at its own definition.
 A module-level definition must also be named by what ships, not only by
 ``tests/``: see ``test_no_module_level_definition_is_test_only``.  So must
-a method of a class under ``src/repro/apps``: see
-``test_no_app_method_is_test_only``.
+a method of a class under ``src/repro/apps``, ``src/repro/baselines`` or
+``src/repro/verify``: see ``test_no_app_method_is_test_only``.
 The census is by bare name (stdlib ``ast``, no resolution): a name counts
 as referenced when it is loaded, read or written as an attribute, passed
 as a keyword argument, or handed to ``getattr``/``hasattr`` as a string.
@@ -265,27 +265,47 @@ def test_no_module_level_definition_is_test_only():
     )
 
 
-METHODS_CHECKED_UNDER = "src/repro/apps/"
+METHODS_CHECKED_UNDER = (
+    "src/repro/apps/", "src/repro/baselines/", "src/repro/verify/",
+)
+
+# Methods under METHODS_CHECKED_UNDER that only tests name, kept on
+# purpose, as ``Class.method``.
+TEST_ONLY_METHODS_ALLOWED = {
+    f"{cls}.from_dict": (
+        "load the committed reproducer JSON that `to_dict` writes"
+    )
+    for cls in ("SendOp", "EpisodeSpec")
+}
 
 
 def test_no_app_method_is_test_only():
-    """Each method and property of a class under ``src/repro/apps`` is
-    named from ``src benchmarks examples perf``, by the same bare-name
-    rule and fixpoint as the module-level test: a method counts once its
-    class is live and its name is.  Elsewhere under ``src/repro`` the
-    rule still covers module-level definitions only."""
+    """Each method and property of a class under ``src/repro/apps``,
+    ``src/repro/baselines`` and ``src/repro/verify`` is named from ``src
+    benchmarks examples perf``, by the same bare-name rule and fixpoint
+    as the module-level test: a method counts once its class is live and
+    its name is.  Elsewhere under ``src/repro`` the rule still covers
+    module-level definitions only.  An allow-listed method must still be
+    test-only."""
     units, live, prefixes = _shipped_units()
     _grow(units, live | set(TEST_ONLY_ALLOWED), prefixes)
-    offenders = [
-        f"{unit.where}: {unit.owner.names[0]}.{unit.names[0]}"
+    test_only = {
+        f"{unit.owner.names[0]}.{unit.names[0]}": unit.where
         for unit in units
         if unit.owner is not None
         and unit.owner.live
         and not unit.live
         and unit.where.startswith(METHODS_CHECKED_UNDER)
+    }
+    stale = sorted(set(TEST_ONLY_METHODS_ALLOWED) - set(test_only))
+    assert not stale, f"allow-listed but no longer test-only: {stale}"
+    offenders = [
+        f"{where}: {name}"
+        for name, where in sorted(test_only.items())
+        if name not in TEST_ONLY_METHODS_ALLOWED
     ]
     assert not offenders, (
-        "methods under src/repro/apps named only by tests/ "
-        "(delete them, move them to tests/, or give them a caller):\n"
-        + "\n".join(offenders)
+        "methods under " + " ".join(METHODS_CHECKED_UNDER) + " named only "
+        "by tests/ (delete them, move them to tests/, or give them a "
+        "caller):\n" + "\n".join(offenders)
     )

@@ -9,6 +9,8 @@ The load-bearing guarantees of the suite:
   reproducer that still fails mutated and passes clean.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.onepipe.config import MODES
@@ -85,7 +87,7 @@ def test_incarnations_agree_on_delivery_sets():
     )
     orders = {}
     for mode in MODES:
-        run, divergences = check_episode(spec.with_mode(mode))
+        run, divergences = check_episode(dataclasses.replace(spec, mode=mode))
         assert divergences == []
         orders[mode] = {
             receiver: [(d.src, d.payload) for d in trace]

@@ -197,9 +197,9 @@ def test_expected_order_is_sorted_by_key():
     b = sent(2, src=1, dst=2, ts=100)
     c = sent(3, src=1, dst=2, ts=200, pair_seq=1)
     obs = observation([a, b, c], {2: [delivery(b), delivery(c), delivery(a)]})
-    oracle = ReferenceOracle(obs)
-    assert [d.msg_id for d in oracle.expected_order(2)] == [2, 3, 1]
-    assert oracle.check() == []
+    trace = obs.deliveries[2]
+    assert [d.msg_id for d in sorted(trace, key=Delivery.key)] == [2, 3, 1]
+    assert ReferenceOracle(obs).check() == []
 
 
 def test_divergence_to_dict_round_trip():
