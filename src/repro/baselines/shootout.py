@@ -79,6 +79,10 @@ SCENARIOS: Tuple[Tuple[str, int, Optional[tuple]], ...] = (
 )
 SCENARIO_NAMES = tuple(name for name, _n, _w in SCENARIOS)
 
+# Every cell's message size: the default of both the baseline groups
+# (``BroadcastGroup``) and 1Pipe's sender, recorded in the report header.
+PAYLOAD_BYTES = 64
+
 
 class Promise(NamedTuple):
     """What a protocol promises beyond the oracle's O1–O4 rows."""
@@ -201,7 +205,6 @@ class ShootoutRunner:
         drain_ns: int = 2_500_000,
         interval_ns: int = 50_000,
         warmup_ns: int = 100_000,
-        payload_bytes: int = 64,
         metrics: bool = False,
         jobs: int = 1,
         progress=None,
@@ -220,7 +223,6 @@ class ShootoutRunner:
         self.drain_ns = drain_ns
         self.interval_ns = interval_ns
         self.warmup_ns = warmup_ns
-        self.payload_bytes = payload_bytes
         self.metrics = metrics
         self.jobs = jobs
         self.progress = progress
@@ -450,7 +452,6 @@ class ShootoutRunner:
             "drain_ns": self.drain_ns,
             "interval_ns": self.interval_ns,
             "warmup_ns": self.warmup_ns,
-            "payload_bytes": self.payload_bytes,
             "metrics": self.metrics,
         }
 
@@ -492,8 +493,11 @@ class ShootoutRunner:
             })
         report = {
             "shootout": {
-                k: (list(v) if isinstance(v, tuple) else v)
-                for k, v in self._knobs().items()
+                **{
+                    k: (list(v) if isinstance(v, tuple) else v)
+                    for k, v in self._knobs().items()
+                },
+                "payload_bytes": PAYLOAD_BYTES,
             },
             "scenarios": scenario_reports,
             "crossover": self._crossover(scenario_reports),

@@ -360,10 +360,6 @@ class Link:
             self._drain_backlog(self.sim.now)
         return self._backlog_bytes
 
-    def idle_since(self, now: int) -> int:
-        """Nanoseconds since the last packet was enqueued."""
-        return now - self.last_tx_time
-
     # ------------------------------------------------------------------
     def send(self, packet: Packet) -> bool:
         """Enqueue ``packet``; returns False if it was dropped.

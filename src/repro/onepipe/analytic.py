@@ -39,7 +39,8 @@ not the link:
   stage (every ToR relaying at the same instant, every host ticking at
   the same instant) collapses into a handful of events, and consecutive
   entries of one kind (arrival groups, host NIC hops) share one replay
-  call.
+  call.  The CPU incarnations' register flushes ride the same buckets:
+  every switch whose flush falls on one instant shares one event.
 - **Bound ingress** hands each arrival to the destination's
   ``on_beacon`` (switch engine register updates and cascade triggers,
   host agent barrier floors), inlined for the steady-state chip engine
@@ -48,10 +49,12 @@ not the link:
   register files, value lists) and one maintained ``_clean`` flag (up,
   no burst chain, no loss stream, no filter), so a clean arrival into a
   steady-state chip engine is one unpack plus the two register
-  max-merges.  The cascade trigger is re-evaluated only when a cached
-  minimum is invalid, i.e. the arrival retired a minimum's last holder:
-  on the fast path (``engine._fp``) "no relay pending" implies "minima
-  <= emitted pair", so with both caches valid it cannot fire.  The one
+  max-merges.  The CPU incarnations keep their ``on_beacon`` call, and
+  their flushes apply the buffered pairs through the same bound slots.
+  The cascade trigger is re-evaluated only when a cached minimum is
+  invalid, i.e. the arrival retired a minimum's last holder: on the
+  fast path (``engine._fp``) "no relay pending" implies "minima <=
+  emitted pair", so with both caches valid it cannot fire.  The one
   event that breaks the implication — ``_cascade_fire`` returning early
   on a crashed switch — clears ``_fp``.
 

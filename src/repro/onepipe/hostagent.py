@@ -201,35 +201,19 @@ class HostAgent:
             # The sender's payload MAC (stamped in _transmit) is NOT
             # recomputed — the agent does not hold the process key.
             packet.payload = ("equivocated", packet.payload)
-        packet.barrier_ts = self.local_be_barrier(now)
-        packet.commit_ts = self.local_commit_barrier(now)
-
-    def local_be_barrier(self, now: int) -> int:
-        """Best-effort barrier promise: the clock, floored at fragments
-        still queued in any colocated sender's CPU."""
-        barrier = now
-        for endpoint in self.endpoints.values():
-            floor = endpoint.sender.be_barrier_floor(now)
-            if floor < barrier:
-                barrier = floor
-        return barrier
-
-    def local_commit_barrier(self, now: int) -> int:
-        """Minimum commit promise over the processes on this host."""
-        barrier = now
-        for endpoint in self.endpoints.values():
-            value = endpoint.sender.commit_barrier_value(now)
-            if value < barrier:
-                barrier = value
-        return barrier
+        packet.barrier_ts, packet.commit_ts = self.local_barriers(now)
 
     def local_barriers(self, now: int) -> tuple:
-        """Both barrier promises in one endpoint pass (beacon hot path).
+        """The host's two barrier promises, in one endpoint pass (NIC
+        egress and host beacons).
 
-        Equivalent to ``(local_be_barrier(now), local_commit_barrier(now))``:
-        ``be_barrier_floor`` is a pure read and ``commit_barrier_value``
-        only prunes its own sender's acked heap entries, so interleaving
-        the per-endpoint calls cannot change either result.
+        Best-effort: the clock, floored at fragments still queued in any
+        colocated sender's CPU.  Commit: the minimum commit promise over
+        the processes on this host.  One pass computes both exactly as
+        two separate passes would: ``be_barrier_floor`` is a pure read
+        and ``commit_barrier_value`` only prunes its own sender's acked
+        heap entries, so interleaving the per-endpoint calls cannot
+        change either result.
         """
         be = commit = now
         for endpoint in self.endpoints.values():

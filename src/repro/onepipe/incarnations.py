@@ -561,7 +561,7 @@ class SwitchCpuEngine(_OrderingEngineBase):
                 buffered[1] = commit_ts
         if not self._flush_pending:
             self._flush_pending = True
-            self.sim.post(
+            self._fabric.post_merged(
                 int(self.processing_delay_ns * self.straggle_factor),
                 self._cpu_flush,
             )
@@ -582,10 +582,11 @@ class SwitchCpuEngine(_OrderingEngineBase):
         for in_link in links:
             be_barrier, commit_ts = in_link._cpu_buf
             in_link._cpu_buf = None
-            if be.has_link(in_link):
-                be.update(in_link, be_barrier)
-            if commit.has_link(in_link):
-                commit.update(in_link, commit_ts)
+            # A removed link's slot holds _INF, so its update is a no-op;
+            # a rejoined link was re-bound to fresh slots.
+            slots = in_link._ingress
+            be.update_slot(slots[0], be_barrier)
+            commit.update_slot(slots[1], commit_ts)
         # Relay the wave onward (the per-hop CPU delay was already paid).
         self._maybe_cascade()
 

@@ -163,7 +163,6 @@ def test_stats_counters():
     assert link.tx_packets == 1
     assert link.tx_bytes == 1000
     assert link.last_tx_time == 0
-    assert link.idle_since(500) == 500
 
 
 def test_invalid_parameters_rejected():

@@ -12,8 +12,9 @@ These tests pin the contract from seven angles:
 - a clean steady-state workload on every incarnation, MODE_BFT
   included (MAC rejections and accusations are observed too);
 - a perturbed run (corruption loss, burst loss, a packet-inspecting
-  ``drop_filter``, receiver-side loss, a link flap, and a filter
-  installed *while virtual beacons are in flight*);
+  ``drop_filter``, receiver-side loss, a link flap, a filter installed
+  *while virtual beacons are in flight*, a straggling switch, and a link
+  silent past the dead-link timeout that then rejoins);
 - the verify fuzzer corpus (delivery trace + reference-oracle verdict);
 - the committed Byzantine breach reproducers (adversarial faults in
   un-hardened mode);
@@ -96,6 +97,23 @@ def _run_workload(mode, seed, until, perturb=False):
             ),
         )
         sim.post(260_000, lambda: setattr(late, "drop_filter", None))
+        # A straggling spine: in the CPU incarnations its register
+        # flushes land on instants of their own.
+        spine = cluster.engines["spine1.0.up"]
+        sim.post(90_000, spine.set_straggler, 2.5)
+        sim.post(230_000, spine.set_straggler, 1.0)
+        # A link that stays up but carries nothing for longer than the
+        # dead-link timeout: declared dead, then it rejoins on the first
+        # beacon through the fabric's bound ingress.
+        silent = links[74]
+        timeout = cluster.config.link_dead_timeout_ns
+        sim.post(
+            300_000, lambda: setattr(silent, "drop_filter", lambda p: True)
+        )
+        sim.post(
+            300_000 + 2 * timeout,
+            lambda: setattr(silent, "drop_filter", None),
+        )
 
     n = cluster.n_processes
     delivered = []
@@ -133,6 +151,10 @@ def _run_workload(mode, seed, until, perturb=False):
              l.dropped_burst, l.ecn_marked, l._busy_until, l._backlog_bytes)
             for l in links
         ],
+        "liveness": {
+            sid: (e.links_declared_dead, sorted(l.name for l in e._dead))
+            for sid, e in sorted(cluster.engines.items())
+        },
         "beacons": cluster.total_beacons(),
         "beacons_rejected": _rejections(cluster),
         "accusations": list(cluster.controller.accusations),
@@ -160,6 +182,8 @@ def test_perturbed_run_identical(mode):
     assert any(stats[6] or stats[7] for stats in off["link_stats"]), (
         "expected corruption/burst drops under perturbation"
     )
+    # The silent link was declared dead and has rejoined.
+    assert off["liveness"]["spine0.0.up"] == (1, [])
 
 
 def test_fallback_beacons_on_filtered_links():

@@ -142,7 +142,7 @@ class TestHostAgentPlumbing:
         sim.run(until=60_000)
         assert scattering.ts is not None
         agent = a.agent
-        stamp = agent.local_commit_barrier(agent.clock.now())
+        _be, stamp = agent.local_barriers(agent.clock.now())
         assert stamp <= scattering.ts
         cluster.topology.link("tor0.0.down", "h0").recover()
         sim.run(until=600_000)

@@ -38,8 +38,7 @@ class TestEgressStamping:
         sim.run(until=10_000)
         agent = c.endpoint(0).agent
         now = agent.clock.now()
-        assert agent.local_be_barrier(now) == now
-        assert agent.local_commit_barrier(now) == now
+        assert agent.local_barriers(now) == (now, now)
 
     def test_be_floor_honours_queued_fragments(self, cluster):
         """While a fragment sits in the send CPU, the host's barrier
@@ -50,7 +49,7 @@ class TestEgressStamping:
         queued_at = ep.agent.clock.now()
         ep.unreliable_send([(1, "x")])  # fragment enters the send CPU
         now = ep.agent.clock.now()
-        floor = ep.agent.local_be_barrier(now)
+        floor, _commit = ep.agent.local_barriers(now)
         assert floor <= queued_at + c.config.cpu_ns_per_msg + 1
 
     def test_beacons_counted_per_agent(self, cluster):
